@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -31,13 +32,7 @@ from .ctcore import (
     solve_T,
     sum_rules,
 )
-from .errors import (
-    CtinvError,
-    DomainError,
-    ParseError,
-    TailFitError,
-    UnsettledScanError,
-)
+from .errors import CtinvError, DomainError, ParseError, TailFitError
 from .forward import SampledPotential, WoodsSaxon, extract_phase, phase_table
 from .glm import (
     PotentialProfile,
@@ -257,10 +252,6 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-
-
 def _verdict_dict(verdict) -> dict:
     return {
         "admissible": verdict.admissible,
@@ -270,9 +261,53 @@ def _verdict_dict(verdict) -> dict:
     }
 
 
+def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfile:
+    """Kernel -> potential -> q(0), numeric moment, tail fit and sum rules.
+
+    Shared by invert, roundtrip and check: fills `report` (the tail fit
+    under `tail_key`) and returns the potential profile.  Sum rules need
+    integer S and one phase per channel; they are skipped when `phases`
+    is None.
+    """
+    grid = RadialGrid(cfg.step, cfg.lambda_max)
+    kernel = solve_kernel(ells, shifted, grid)
+    profile = potential(ells, shifted, grid, kernel=kernel)
+    report["q_origin"] = profile.q_origin
+    try:
+        report["moment_numeric"] = moment_numeric(profile)
+    except TailFitError as exc:
+        report["moment_numeric"] = None
+        report["moment_note"] = str(exc)
+    if profile.tail is not None:
+        report[tail_key] = {
+            "alpha": profile.tail.alpha,
+            "beta": profile.tail.beta,
+            "gamma": profile.tail.gamma,
+            "rms": profile.tail.rms,
+        }
+    report["sum_rules"] = None
+    if phases is not None:
+        try:
+            b_factors = [
+                extract_phase(
+                    grid.r, transformed_wave(ells, shifted, float(ell), grid, kernel), int(ell)
+                ).b_norm
+                for ell in ells
+            ]
+            rules = sum_rules(ells, shifted, phases, b_factors)
+            report["sum_rules"] = {
+                "residual_cos": rules.residual_cos,
+                "residual_sin": rules.residual_sin,
+                "coeff_sum": rules.coeff_sum,
+                "b_factors": b_factors,
+            }
+        except CtinvError as exc:
+            report["sum_rule_note"] = str(exc)
+    return profile
+
+
 def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
     """Shared by invert and roundtrip: returns (exit_code, report, profile)."""
-    t0 = time.perf_counter()
     report: dict = {
         "input": {"ells": list(input_set.ells), "deltas": list(input_set.deltas)},
         "grid": {"h": cfg.step, "lambda": cfg.lambda_max},
@@ -300,7 +335,6 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
             chosen_T=None,
             moment_closed_form=0.0,
             moment_numeric=0.0,
-            timing_seconds=time.perf_counter() - t0,
         )
         if out:
             write_potential_csv(out, profile, input_set)
@@ -314,7 +348,6 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
             chosen_T=None,
             seeds_tried=solve.seeds_tried,
             best_seed_residual=min(finite) if finite else None,
-            timing_seconds=time.perf_counter() - t0,
         )
         return EXIT_NO_ADMISSIBLE, report, None
     sel = select_physical(input_set, solve.candidates, resolution=cfg.scan_resolution)
@@ -324,7 +357,7 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
     ]
     report["ambiguous"] = sel.ambiguous
     if not sel.admissible:
-        report.update(chosen_T=None, timing_seconds=time.perf_counter() - t0)
+        report["chosen_T"] = None
         return (
             EXIT_UNSETTLED if sel.unsettled else EXIT_NO_ADMISSIBLE,
             report,
@@ -332,62 +365,26 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
         )
     chosen = sel.chosen or sel.admissible[0]
     report["chosen_T"] = list(chosen.Ls)
-    grid = RadialGrid(cfg.step, cfg.lambda_max)
-    kernel = solve_kernel(input_set, chosen, grid)
-    profile = potential(input_set, chosen, grid, kernel=kernel)
-    report["q_origin"] = profile.q_origin
+    profile = _reconstruct(input_set.ells, chosen, cfg, input_set.deltas, report, "tail")
     report["moment_closed_form"] = moment_closed_form(input_set, chosen)
-    try:
-        report["moment_numeric"] = moment_numeric(profile)
-    except TailFitError as exc:
-        report["moment_numeric"] = None
-        report["moment_note"] = str(exc)
-    if profile.tail is not None:
-        report["tail"] = {
-            "alpha": profile.tail.alpha,
-            "beta": profile.tail.beta,
-            "gamma": profile.tail.gamma,
-            "rms": profile.tail.rms,
-        }
     asym = asymptotic_data(input_set, chosen)
     report["tail_closed_form"] = {"alpha": asym.alpha, "beta": asym.beta}
     report["expansion_coeffs"] = list(expansion_coeffs(input_set, chosen))
-    try:
-        b_factors = [
-            extract_phase(
-                grid.r, transformed_wave(input_set, chosen, float(ell), grid, kernel), ell
-            ).b_norm
-            for ell in input_set.ells
-        ]
-        rules = sum_rules(input_set, chosen, input_set.deltas, b_factors)
-        report["sum_rules"] = {
-            "residual_cos": rules.residual_cos,
-            "residual_sin": rules.residual_sin,
-            "coeff_sum": rules.coeff_sum,
-            "b_factors": b_factors,
-        }
-    except CtinvError as exc:
-        report["sum_rules"] = None
-        report["sum_rule_note"] = str(exc)
-    report["timing_seconds"] = time.perf_counter() - t0
     if out:
         write_potential_csv(out, profile, input_set)
         report["out"] = out
     return EXIT_OK, report, profile
 
 
-def cmd_invert(args) -> int:
+def cmd_invert(args) -> tuple[int, dict | None]:
     cfg = _merged_config(args)
     input_set = read_phase_file(args.phases)
     code, report, _ = _invert_pipeline(input_set, cfg, args.out or "potential.csv")
-    report["command"] = "invert"
-    _emit(report)
-    return code
+    return code, report
 
 
-def cmd_forward(args) -> int:
+def cmd_forward(args) -> tuple[int, dict | None]:
     cfg = _merged_config(args)
-    t0 = time.perf_counter()
     if args.ws is not None:
         if len(args.ws) != 3:
             raise ParseError("--ws needs DEPTH,RADIUS,DIFFUSENESS")
@@ -409,7 +406,6 @@ def cmd_forward(args) -> int:
         },
     )
     report = {
-        "command": "forward",
         "potential": table.source,
         "grid": {"h": grid.h, "lambda": float(grid.r[-1])},
         "phases": [
@@ -423,25 +419,19 @@ def cmd_forward(args) -> int:
             for row in table.rows
         ],
         "out": out,
-        "timing_seconds": time.perf_counter() - t0,
     }
-    _emit(report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_roundtrip(args) -> int:
+def cmd_roundtrip(args) -> tuple[int, dict | None]:
     cfg = _merged_config(args)
-    t0 = time.perf_counter()
     input_set = read_phase_file(args.phases)
     code, report, profile = _invert_pipeline(input_set, cfg, args.out)
-    report["command"] = "roundtrip"
     if code != EXIT_OK:
-        _emit(report)
-        return code
+        return code, report
     if report.get("zero_potential"):
         report["max_phase_discrepancy"] = 0.0
-        _emit(report)
-        return EXIT_OK
+        return EXIT_OK, report
     pot = SampledPotential.from_profile(profile)
     grid = RadialGrid(profile.h, profile.r_max)
     table = phase_table(pot, list(input_set.ells), grid)
@@ -483,14 +473,11 @@ def cmd_roundtrip(args) -> int:
             leakage.append({"ell": ell, "tan_delta": tan_delta})
             worst_leak = max(worst_leak, abs(tan_delta))
         report["parity_leakage"] = {"ells": other, "rows": leakage, "max_abs_tan": worst_leak}
-    report["timing_seconds"] = time.perf_counter() - t0
-    _emit(report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_map(args) -> int:
+def cmd_map(args) -> tuple[int, dict | None]:
     cfg = _merged_config(args)
-    t0 = time.perf_counter()
     ells = args.ells
     if len(ells) != 2:
         raise ParseError("map needs exactly two angular momenta, e.g. --ells 0,1")
@@ -514,29 +501,24 @@ def cmd_map(args) -> int:
         },
     )
     report = {
-        "command": "map",
         "S": list(amap.ells),
         "cells": int(amap.admissible.size),
         "admissible_cells": int(np.count_nonzero(amap.admissible)),
         "errors": [f"({i},{j}) {msg}" for i, j, msg in amap.errors],
         "out": out,
-        "timing_seconds": time.perf_counter() - t0,
     }
-    _emit(report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict | None]:
     cfg = _merged_config(args)
     ells = args.ells
     t_vals = args.T
     if len(ells) != len(t_vals):
         raise ParseError("--ells and --T must have the same length")
-    t0 = time.perf_counter()
     shifted = ShiftedSet(tuple(t_vals))
     verdict = scan_zeros(ells, shifted, r_max=args.lam, resolution=cfg.scan_resolution)
     report = {
-        "command": "check",
         "S": list(ells),
         "T": list(shifted.Ls),
         **_verdict_dict(verdict),
@@ -555,50 +537,15 @@ def cmd_check(args) -> int:
     report["moment_closed_form"] = moment_closed_form(ells, shifted)
     report["moment_numeric"] = None
     report["sum_rules"] = None
-    integral_s = all(float(ell) == int(ell) for ell in ells)
     if verdict.admissible and verdict.settled:
-        grid = RadialGrid(cfg.step, cfg.lambda_max)
-        kernel = solve_kernel(ells, shifted, grid)
-        profile = potential(ells, shifted, grid, kernel=kernel)
-        report["q_origin"] = profile.q_origin
-        try:
-            report["moment_numeric"] = moment_numeric(profile)
-        except TailFitError as exc:
-            report["moment_note"] = str(exc)
-        if profile.tail is not None:
-            report["tail_fit"] = {
-                "alpha": profile.tail.alpha,
-                "beta": profile.tail.beta,
-                "gamma": profile.tail.gamma,
-                "rms": profile.tail.rms,
-            }
-        if integral_s and implied is not None:
-            try:
-                b_factors = [
-                    extract_phase(
-                        grid.r,
-                        transformed_wave(ells, shifted, float(ell), grid, kernel),
-                        int(ell),
-                    ).b_norm
-                    for ell in ells
-                ]
-                rules = sum_rules(ells, shifted, implied, b_factors)
-                report["sum_rules"] = {
-                    "residual_cos": rules.residual_cos,
-                    "residual_sin": rules.residual_sin,
-                    "coeff_sum": rules.coeff_sum,
-                    "b_factors": b_factors,
-                }
-            except CtinvError as exc:
-                report["sum_rule_note"] = str(exc)
-    report["timing_seconds"] = time.perf_counter() - t0
-    _emit(report)
+        integral_s = all(float(ell) == int(ell) for ell in ells)
+        _reconstruct(ells, shifted, cfg, implied if integral_s else None, report, "tail_fit")
     if not verdict.settled:
-        return EXIT_UNSETTLED
-    return EXIT_OK if verdict.admissible else EXIT_NO_ADMISSIBLE
+        return EXIT_UNSETTLED, report
+    return (EXIT_OK if verdict.admissible else EXIT_NO_ADMISSIBLE), report
 
 
-def cmd_specfun(args) -> int:
+def cmd_specfun(args) -> tuple[int, dict | None]:
     j, y, jp, yp = bessel_jy(args.nu, args.x)
     print(f"J({args.nu:g}, {args.x:g}) = {_fmt(j)}")
     print(f"Y({args.nu:g}, {args.x:g}) = {_fmt(y)}")
@@ -609,7 +556,7 @@ def cmd_specfun(args) -> int:
     print(f"u'({args.nu:g}, {args.x:g}) = {_fmt(pair.du)}")
     print(f"v({args.nu:g}, {args.x:g}) = {_fmt(pair.v)}")
     print(f"v'({args.nu:g}, {args.x:g}) = {_fmt(pair.dv)}")
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 def _merged_config(args) -> RunConfig:
@@ -637,8 +584,24 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads '--T -0.3,0.9' as '--T=-0.3,0.9'.
+
+    argparse takes only '-N' and '-N.N' for negative numbers, not comma lists.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and re.fullmatch(r"--[\w-]+", joined[-1]) and re.match(r"-\.?\d.*,", arg):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctinv",
         description="Fixed-energy inverse scattering: phase shifts <-> potential.",
     )
@@ -707,17 +670,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code, report = args.func(args)
     except ParseError as exc:
         print(f"ctinv: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnsettledScanError as exc:
-        print(f"ctinv: {exc}", file=sys.stderr)
-        return EXIT_UNSETTLED
     except CtinvError as exc:
         print(f"ctinv: {exc}", file=sys.stderr)
         return 1
+    if report is not None:
+        report.update(command=args.command, timing_seconds=time.perf_counter() - t0)
+        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .ctcore import InputSet, ShiftedSet, _as_Ls, _as_ells, _check_disjoint, _ll1
+from .ctcore import InputSet, ShiftedSet, _as_Ls, _as_ells, _as_pair, _ll1
 from .errors import DomainError, InternalInconsistencyError
 from .glm import det_and_scale, fredholm_det
 
@@ -101,11 +101,7 @@ def scan_zeros(
     disagreement proves a crossing beyond r_max).  An unsettled scan is
     retried with the range doubled, at most `max_doublings` times.
     """
-    ells = _as_ells(s)
-    Ls = _as_Ls(t)
-    if len(ells) != len(Ls):
-        raise DomainError("S and T must have equal size")
-    _check_disjoint(ells, Ls)
+    ells, Ls = _as_pair(s, t)
     if resolution <= 0.0:
         raise DomainError("resolution must be > 0")
     radius = float(r_max) if r_max is not None else default_scan_radius(ells, Ls)
@@ -224,8 +220,9 @@ def admissibility_map(
 
     Cells with L <= -1/2, coincident components, or a collision with S are
     inadmissible by construction and are not scanned.  The map is symmetric
-    under swapping L1 and L2 (T is a set), so only the upper triangle is
-    computed and mirrored.  Per-cell failures are recorded in `errors` and
+    under swapping L1 and L2 (T is a set), so when both axes are the same
+    lattice only the upper triangle is computed and mirrored; otherwise
+    every cell is scanned.  Per-cell failures are recorded in `errors` and
     leave the cell marked inadmissible rather than aborting the sweep.
     """
     ells_arr = _as_ells(s)
@@ -251,12 +248,12 @@ def admissibility_map(
             return False
         return True
 
+    square = np.array_equal(axis1, axis2)
     cells = [
         (i, j)
         for i in range(len(axis1))
-        for j in range(len(axis2))
-        if (axis2[j] > axis1[i] or abs(axis2[j] - axis1[i]) < 1e-12)
-        and valid(float(axis1[i]), float(axis2[j]))
+        for j in range(i if square else 0, len(axis2))
+        if valid(float(axis1[i]), float(axis2[j]))
     ]
 
     def work(idx: tuple[int, int]):
@@ -282,12 +279,6 @@ def admissibility_map(
         if err is not None:
             errors.append((i, j, err))
 
-    # Mirror across the diagonal where both axes cover the same values.
-    for i, l1 in enumerate(axis1):
-        for j, l2 in enumerate(axis2):
-            if l2 < l1:
-                i2 = np.argmin(np.abs(axis1 - l2))
-                j2 = np.argmin(np.abs(axis2 - l1))
-                if abs(axis1[i2] - l2) < 1e-9 and abs(axis2[j2] - l1) < 1e-9:
-                    flags[i, j] = flags[i2, j2]
+    if square:
+        flags |= flags.T
     return AdmissibilityMap(ells, axis1, axis2, flags, errors)

@@ -19,7 +19,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,13 +144,19 @@ def _as_Ls(t) -> np.ndarray:
     return _as_ells(ShiftedSet(tuple(float(v) for v in t)).Ls)
 
 
-def _check_disjoint(ells: np.ndarray, Ls: np.ndarray) -> None:
+def _as_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
+    """S and T as arrays, checked to be of equal size and disjoint."""
+    ells = _as_ells(s)
+    Ls = _as_Ls(t)
+    if len(ells) != len(Ls):
+        raise DomainError("S and T must have equal size")
     gap = np.abs(ells[:, None] - Ls[None, :])
     if gap.min() < DISTINCT_TOL:
         i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
         raise SingularConfigurationError(
             f"T collides with S: L={Ls[j]:.9g} equals ell={ells[i]:g}"
         )
+    return ells, Ls
 
 
 def expansion_coeffs(s, t) -> np.ndarray:
@@ -162,11 +168,7 @@ def expansion_coeffs(s, t) -> np.ndarray:
     one value per element of S, in S order.  Requires |S| = |T| and
     disjoint sets.
     """
-    ells = _as_ells(s)
-    Ls = _as_Ls(t)
-    if len(ells) != len(Ls):
-        raise DomainError("S and T must have equal size")
-    _check_disjoint(ells, Ls)
+    ells, Ls = _as_pair(s, t)
     xe = _ll1(ells)
     xt = _ll1(Ls)
     num = np.prod(xe[:, None] - xt[None, :], axis=1)
@@ -211,7 +213,7 @@ def coeffs_to_T(s, coeffs) -> ShiftedSet:
         out = ShiftedSet(tuple(Ls))
     except (SingularConfigurationError, DomainError) as exc:
         raise NoValidTError(f"recovered T is degenerate: {exc}") from exc
-    _check_disjoint(ells, np.asarray(out.Ls))
+    _as_pair(ells, out)
     return out
 
 
@@ -222,11 +224,7 @@ def kappa_matrices(s, t) -> tuple[np.ndarray, np.ndarray]:
     estimate above 1e12; raises SingularConfigurationError when S and T
     collide (vanishing denominator).
     """
-    ells = _as_ells(s)
-    Ls = _as_Ls(t)
-    if len(ells) != len(Ls):
-        raise DomainError("S and T must have equal size")
-    _check_disjoint(ells, Ls)
+    ells, Ls = _as_pair(s, t)
     half_pi = 0.5 * math.pi
     diff = ells[:, None] - Ls[None, :]
     den = _ll1(Ls)[None, :] - _ll1(ells)[:, None]
@@ -522,11 +520,7 @@ def moment_closed_form(s, t) -> float:
     The sum itself is lim_{r->0} K(r, r)/r; with q = -(2/r) d/dr [K/r]
     and K/r -> 0 at infinity the integral is twice that limit.
     """
-    ells = _as_ells(s)
-    Ls = _as_Ls(t)
-    if len(ells) != len(Ls):
-        raise DomainError("S and T must have equal size")
-    _check_disjoint(ells, Ls)
+    ells, Ls = _as_pair(s, t)
     total = 0.0
     for i, big_l in enumerate(Ls):
         num = float(np.prod(big_l - ells))

@@ -80,7 +80,3 @@ class ParseError(CtinvError, ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-class UnsettledScanError(CtinvError, RuntimeError):
-    """The determinant scan did not settle within the allowed range doublings."""

@@ -68,10 +68,9 @@ class SampledPotential:
     q'(0) = 0, so the constant extension is second-order accurate).
     """
 
-    def __init__(self, fn: Callable, description: str = "callable", r_span: tuple[float, float] | None = None):
+    def __init__(self, fn: Callable, description: str = "callable"):
         self._fn = fn
         self.description = description
-        self.r_span = r_span
 
     @classmethod
     def from_callable(cls, fn: Callable, description: str | None = None) -> "SampledPotential":
@@ -118,7 +117,7 @@ class SampledPotential:
                     out[above] = 0.0
             return float(out[0]) if scalar else out
 
-        return cls(evaluate, description, (r_lo, r_hi))
+        return cls(evaluate, description)
 
     @classmethod
     def from_profile(cls, profile: PotentialProfile) -> "SampledPotential":

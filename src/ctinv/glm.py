@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .ctcore import _as_Ls, _as_ells, _check_disjoint, _ll1, expansion_coeffs
+from .ctcore import _as_pair, _ll1, expansion_coeffs
 from .errors import DomainError, InadmissibleConfigurationError, TailFitError
 from .specfun import riccati
 
@@ -91,18 +91,9 @@ def _matrices(ells: np.ndarray, Ls: np.ndarray, r: np.ndarray):
     return wron / den[None, :, :], uL, duL, vE, dvE
 
 
-def _validate_pair(s, t):
-    ells = _as_ells(s)
-    Ls = _as_Ls(t)
-    if len(ells) != len(Ls):
-        raise DomainError("S and T must have equal size")
-    _check_disjoint(ells, Ls)
-    return ells, Ls
-
-
 def glm_matrix(s, t, r: float) -> np.ndarray:
     """The |S| x |T| kernel matching matrix at a single radius."""
-    ells, Ls = _validate_pair(s, t)
+    ells, Ls = _as_pair(s, t)
     rr = np.asarray([float(r)])
     if rr[0] <= 0.0:
         raise DomainError("r must be > 0")
@@ -116,7 +107,7 @@ def det_and_scale(s, t, r):
     The scale (product of row 2-norms) bounds |det| from above and gives
     the natural yardstick for "numerically zero".
     """
-    ells, Ls = _validate_pair(s, t)
+    ells, Ls = _as_pair(s, t)
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rr <= 0.0):
         raise DomainError("r must be > 0")
@@ -159,7 +150,7 @@ def solve_kernel(s, t, grid: RadialGrid) -> KernelSolution:
     |D(r)| < 1e-12 * scale; run the consistency scan first to pick a T
     without determinant zeros.
     """
-    ells, Ls = _validate_pair(s, t)
+    ells, Ls = _as_pair(s, t)
     r = grid.r
     m, uL, duL, vE, dvE = _matrices(ells, Ls, r)
     det = np.linalg.det(m)
@@ -262,7 +253,7 @@ def transformed_wave(s, t, ell: float, grid: RadialGrid, kernel: KernelSolution 
     Exact by construction: asymptotically B_ell sin(r - ell pi/2 + delta_ell)
     when ell is in S.
     """
-    ells, Ls = _validate_pair(s, t)
+    ells, Ls = _as_pair(s, t)
     if kernel is None:
         kernel = solve_kernel(s, t, grid)
     r = grid.r
@@ -282,7 +273,7 @@ def kernel_diag_series(s, t, grid: RadialGrid, waves) -> np.ndarray:
     Mapping keyed by ell, or a sequence in S order).  Independent of the
     A_L route through solve_kernel; the two must agree pointwise.
     """
-    ells, Ls = _validate_pair(s, t)
+    ells, Ls = _as_pair(s, t)
     c = expansion_coeffs(ells, Ls)
     r = grid.r
     if isinstance(waves, Mapping):

@@ -10,12 +10,20 @@ from ctinv import cli
 from ctinv.consistency import scan_zeros
 
 REF1_LINE = "0 0.6283185307179586\n"
+SUBCOMMANDS = ("invert", "forward", "roundtrip", "map", "check", "specfun")
 
 
 def _run(capsys, argv):
-    """Invoke the CLI in-process and hand back (exit code, stdout, stderr)."""
+    """Invoke the CLI in-process and hand back (exit code, stdout, stderr).
+
+    Every JSON report must name its subcommand and carry its wall time.
+    """
     code = cli.main(argv)
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):
+        rep = json.loads(captured.out)
+        assert rep["command"] == next(a for a in argv if a in SUBCOMMANDS)
+        assert isinstance(rep["timing_seconds"], float)
     return code, captured.out, captured.err
 
 
@@ -67,6 +75,55 @@ def test_check_unsettled_exit_4(capsys, monkeypatch):
     assert rep["settled"] is False
     assert rep["admissible"] is False
     assert rep["zeros"] == []
+
+
+def test_invert_and_check_share_reconstruction(tmp_path, capsys):
+    # invert on ref1 picks T = {-0.4}; check on that pair must report the
+    # same reconstruction figures, since both go through one pipeline
+    phases = tmp_path / "phases.txt"
+    phases.write_text(REF1_LINE)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("step = 0.01\nlambda = 80\n")
+    base = ["--config", str(cfg)]
+    code, out, _ = _run(
+        capsys,
+        base + ["invert", "--phases", str(phases), "--out", str(tmp_path / "p.csv")],
+    )
+    assert code == 0
+    inv = _report(out)
+    code, out, _ = _run(capsys, base + ["check", "--ells", "0", "--T", "-0.4"])
+    assert code == 0
+    chk = _report(out)
+    assert inv["chosen_T"] == [pytest.approx(-0.4, abs=1e-12)]
+    for key in ("q_origin", "moment_numeric", "moment_closed_form"):
+        assert chk[key] == pytest.approx(inv[key], abs=1e-12), key
+    for key in ("residual_cos", "residual_sin", "coeff_sum"):
+        assert chk["sum_rules"][key] == pytest.approx(inv["sum_rules"][key], abs=1e-12)
+    assert chk["sum_rules"]["b_factors"] == pytest.approx(
+        inv["sum_rules"]["b_factors"], abs=1e-12
+    )
+    for key in ("alpha", "beta"):
+        assert chk["tail_closed_form"][key] == pytest.approx(
+            inv["tail_closed_form"][key], abs=1e-12
+        )
+    assert chk["tail_fit"] == inv["tail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--ells", "0,1", "--T", "-0.3056,0.9295"],
+        ["check", "--ells", "-1,0", "--T", "0.5,2"],
+        ["map", "--ells", "0,1", "--box", "-0.4,-0.2,0.85,0.95"],
+        ["forward", "--ws", "-1,1,0.4", "--ellmax", "2"],
+    ],
+)
+def test_list_values_may_start_with_minus(argv):
+    # the space form must parse exactly like the --opt=value form
+    i = next(k for k, a in enumerate(argv) if a.startswith("-") and a[1:2].isdigit())
+    glued = argv[: i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1 :]
+    parser = cli.build_parser()
+    assert vars(parser.parse_args(argv)) == vars(parser.parse_args(glued))
 
 
 def test_check_collision_exit_1(capsys):

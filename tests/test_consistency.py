@@ -123,6 +123,17 @@ def test_map_symmetry_and_validity():
     assert amap.errors == []
 
 
+def test_map_non_square_box_scans_every_cell():
+    # no cell here has its swapped pair on the lattice, so each needs a scan
+    amap = admissibility_map((0, 1), (0.3, 0.4, 0.25, 0.35), resolution=0.1)
+    assert amap.admissible.shape == (2, 2)
+    for i, l1 in enumerate(amap.axis1):
+        for j, l2 in enumerate(amap.axis2):
+            v = scan_zeros((0, 1), (float(l1), float(l2)))
+            assert amap.admissible[i, j] == (v.settled and v.admissible)
+    assert amap.errors == []
+
+
 def test_map_contains_reference_solution_cell():
     amap = admissibility_map((0, 1), (-0.4, -0.2, 0.85, 0.95), resolution=0.1)
     i = int(np.argmin(np.abs(amap.axis1 - (-0.3056))))
