@@ -352,8 +352,8 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
         return EXIT_NO_ADMISSIBLE, report, None
     sel = select_physical(input_set, solve.candidates, resolution=cfg.scan_resolution)
     report["candidates"] = [
-        {"T": list(cand.Ls), **_verdict_dict(verdict)}
-        for cand, verdict in zip(solve.candidates, sel.verdicts)
+        {"T": list(cand.Ls), "cos_cond": cond, **_verdict_dict(verdict)}
+        for cand, cond, verdict in zip(solve.candidates, solve.cos_cond, sel.verdicts)
     ]
     report["ambiguous"] = sel.ambiguous
     if not sel.admissible:

@@ -217,6 +217,13 @@ def coeffs_to_T(s, coeffs) -> ShiftedSet:
     return out
 
 
+def _kappa(ells: np.ndarray, Ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    half_pi = 0.5 * math.pi
+    diff = ells[:, None] - Ls[None, :]
+    den = _ll1(Ls)[None, :] - _ll1(ells)[:, None]
+    return np.sin(half_pi * diff) / den, np.cos(half_pi * diff) / den
+
+
 def kappa_matrices(s, t) -> tuple[np.ndarray, np.ndarray]:
     """The sin and cos structure matrices (rows ell in S, columns L in T).
 
@@ -224,12 +231,7 @@ def kappa_matrices(s, t) -> tuple[np.ndarray, np.ndarray]:
     estimate above 1e12; raises SingularConfigurationError when S and T
     collide (vanishing denominator).
     """
-    ells, Ls = _as_pair(s, t)
-    half_pi = 0.5 * math.pi
-    diff = ells[:, None] - Ls[None, :]
-    den = _ll1(Ls)[None, :] - _ll1(ells)[:, None]
-    m_sin = np.sin(half_pi * diff) / den
-    m_cos = np.cos(half_pi * diff) / den
+    m_sin, m_cos = _kappa(*_as_pair(s, t))
     if m_cos.shape[0] == m_cos.shape[1]:
         cond = np.linalg.cond(m_cos)
         if not np.isfinite(cond) or cond > 1e12:
@@ -249,8 +251,10 @@ def phases_from_T(s, t) -> np.ndarray:
     deviation beyond 1e-6 in |ln|S|| / 2 (the imaginary part of delta)
     raises InternalInconsistencyError.
     """
-    ells = _as_ells(s)
-    m_sin, m_cos = kappa_matrices(s, t)
+    return _phases(_as_ells(s), *kappa_matrices(s, t))
+
+
+def _phases(ells: np.ndarray, m_sin: np.ndarray, m_cos: np.ndarray) -> np.ndarray:
     try:
         p = np.linalg.solve(m_cos.T, m_sin.T).T
     except np.linalg.LinAlgError as exc:
@@ -276,6 +280,7 @@ class TSolveResult:
     zero_potential: bool
     seed_residuals: list[float] = field(default_factory=list)
     seeds_tried: int = 0
+    cos_cond: list[float] = field(default_factory=list)  # cond(M_cos) per candidate
 
 
 def _phase_residual(ells_arr: np.ndarray, deltas_arr: np.ndarray, Ls: np.ndarray):
@@ -283,19 +288,23 @@ def _phase_residual(ells_arr: np.ndarray, deltas_arr: np.ndarray, Ls: np.ndarray
     n = len(Ls)
     if np.any(Ls <= MIN_ORDER + 1e-9) or not np.all(np.isfinite(Ls)):
         return None
-    if n > 1:
-        srt = np.sort(Ls)
-        if np.min(np.diff(srt)) < 1e-7:
-            return None
+    srt = np.sort(Ls)
+    if n > 1 and np.min(np.diff(srt)) < 1e-7:
+        return None
     if np.min(np.abs(ells_arr[:, None] - Ls[None, :])) < 1e-7:
         return None
+    # these guards are stricter than ShiftedSet's and _as_pair's, so the
+    # public phases_from_T would accept srt; skip its checks and cond()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            deltas = phases_from_T(ells_arr, ShiftedSet(tuple(Ls)))
-    except (InternalInconsistencyError, SingularConfigurationError):
+        deltas = _phases(ells_arr, *_kappa(ells_arr, srt))
+    except InternalInconsistencyError:
         return None
     return _wrap_pi(deltas - deltas_arr)
+
+
+def _cos_cond(ells_arr: np.ndarray, candidates: list[ShiftedSet]) -> list[float]:
+    """Condition number of M_cos, once per candidate (no warning at this stage)."""
+    return [float(np.linalg.cond(_kappa(ells_arr, np.asarray(c.Ls))[1])) for c in candidates]
 
 
 def _newton_seed(ells_arr, deltas_arr, seed, tol_step, tol_resid, max_iter=60):
@@ -398,7 +407,9 @@ def solve_T(
                 continue
             family.append(ShiftedSet((big_l,)))
         family.sort(key=lambda tt: tt.Ls)
-        return TSolveResult(family, False, seeds_tried=len(family))
+        return TSolveResult(
+            family, False, seeds_tried=len(family), cos_cond=_cos_cond(ells_arr, family)
+        )
 
     margin = 0.02 * (hi - lo)
     axis = np.linspace(lo + margin, hi - margin, seeds_per_axis)
@@ -420,11 +431,13 @@ def solve_T(
             continue
         candidates.append(srt)
     candidates.sort(key=lambda arr: tuple(arr))
+    found = [ShiftedSet(tuple(arr)) for arr in candidates]
     return TSolveResult(
-        [ShiftedSet(tuple(arr)) for arr in candidates],
+        found,
         False,
         seed_residuals=residuals,
         seeds_tried=len(seeds),
+        cos_cond=_cos_cond(ells_arr, found),
     )
 
 

@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from .ctcore import reduce_phase
 from .errors import DomainError, WindowTooSmallError
 from .glm import PotentialProfile, RadialGrid, TailFit, tail_q
-from .specfun import riccati
+from .specfun import _riccati_half
 
 __all__ = [
     "WoodsSaxon",
@@ -221,8 +221,9 @@ def extract_phase(
         raise WindowTooSmallError(
             f"window [{lo:g}, {hi:g}] spans less than two periods"
         )
-    free = riccati(float(ell), r[mask])
-    basis = np.column_stack((free.u, -free.v))
+    u, _ = _riccati_half(float(ell), r[mask], True, deriv=False)
+    v, _ = _riccati_half(float(ell), r[mask], False, deriv=False)
+    basis = np.column_stack((u, -v))
     coef, *_ = np.linalg.lstsq(basis, wave[mask], rcond=None)
     a_sin, a_cos = float(coef[0]), float(coef[1])
     delta = reduce_phase(math.atan2(a_cos, a_sin))

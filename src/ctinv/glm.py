@@ -23,7 +23,7 @@ import numpy as np
 
 from .ctcore import _as_pair, _ll1, expansion_coeffs
 from .errors import DomainError, InadmissibleConfigurationError, TailFitError
-from .specfun import riccati
+from .specfun import _riccati_half
 
 __all__ = [
     "RadialGrid",
@@ -66,16 +66,10 @@ class RadialGrid:
         return (np.arange(self.n, dtype=float) + 1.0) * self.h
 
 
-def _orders_table(orders: np.ndarray, r: np.ndarray):
-    """Riccati u, u', v, v' for each order, stacked (len(orders), len(r))."""
-    u = np.empty((len(orders), len(r)))
-    du = np.empty_like(u)
-    v = np.empty_like(u)
-    dv = np.empty_like(u)
-    for i, lam in enumerate(orders):
-        pair = riccati(float(lam), r)
-        u[i], du[i], v[i], dv[i] = pair.u, pair.du, pair.v, pair.dv
-    return u, du, v, dv
+def _half_table(orders: np.ndarray, r: np.ndarray, regular: bool):
+    """One Riccati half (u, u' or v, v') per order, stacked (len(orders), len(r))."""
+    halves = [_riccati_half(float(lam), r, regular) for lam in orders]
+    return np.array([h[0] for h in halves]), np.array([h[1] for h in halves])
 
 
 def _matrices(ells: np.ndarray, Ls: np.ndarray, r: np.ndarray):
@@ -83,8 +77,8 @@ def _matrices(ells: np.ndarray, Ls: np.ndarray, r: np.ndarray):
 
     Returns (M, uL, duL, vE, dvE) with M of shape (len(r), |S|, |T|).
     """
-    uL, duL, _, _ = _orders_table(Ls, r)
-    _, _, vE, dvE = _orders_table(ells, r)
+    uL, duL = _half_table(Ls, r, True)
+    vE, dvE = _half_table(ells, r, False)
     den = _ll1(ells)[:, None] - _ll1(Ls)[None, :]
     # wron[k, i, j] = u_{L_j} v'_{ell_i} - u'_{L_j} v_{ell_i} at r_k
     wron = uL.T[:, None, :] * dvE.T[:, :, None] - duL.T[:, None, :] * vE.T[:, :, None]
@@ -138,6 +132,8 @@ class KernelSolution:
     k_prime: np.ndarray  # d/dr K(r, r)
     det: np.ndarray
     det_scale: np.ndarray
+    uL: np.ndarray  # (|T|, n_points) u_L and u_L' on the grid
+    duL: np.ndarray
 
 
 def solve_kernel(s, t, grid: RadialGrid) -> KernelSolution:
@@ -173,7 +169,7 @@ def solve_kernel(s, t, grid: RadialGrid) -> KernelSolution:
     k_diag = np.sum(a * uL.T, axis=1)
     k_prime = np.sum(a_prime * uL.T + a * duL.T, axis=1)
     return KernelSolution(
-        grid, tuple(ells), tuple(Ls), a, a_prime, k_diag, k_prime, det, scale
+        grid, tuple(ells), tuple(Ls), a, a_prime, k_diag, k_prime, det, scale, uL, duL
     )
 
 
@@ -223,6 +219,20 @@ def _extrapolate_origin(r: np.ndarray, q: np.ndarray) -> float:
     return float(coef[0])
 
 
+def _kernel_for(s, t, grid: RadialGrid, kernel: KernelSolution | None) -> KernelSolution:
+    """`kernel` checked to belong to (S, T) on `grid`, or a fresh solve when None."""
+    if kernel is None:
+        return solve_kernel(s, t, grid)
+    ells, Ls = _as_pair(s, t)
+    if (
+        (kernel.grid.h, kernel.grid.n) != (grid.h, grid.n)
+        or kernel.ells != tuple(ells)
+        or kernel.Ls != tuple(Ls)
+    ):
+        raise DomainError("kernel was solved for another grid or another (S, T)")
+    return kernel
+
+
 def potential(
     s, t, grid: RadialGrid | None = None, kernel: KernelSolution | None = None
 ) -> PotentialProfile:
@@ -235,7 +245,7 @@ def potential(
     """
     if grid is None:
         grid = RadialGrid()
-    sol = solve_kernel(s, t, grid) if kernel is None else kernel
+    sol = _kernel_for(s, t, grid, kernel)
     r = grid.r
     q = -2.0 * sol.k_prime / r**2 + 2.0 * sol.k_diag / r**3
     tail = _fit_tail(r, sol.k_diag)
@@ -253,17 +263,13 @@ def transformed_wave(s, t, ell: float, grid: RadialGrid, kernel: KernelSolution 
     Exact by construction: asymptotically B_ell sin(r - ell pi/2 + delta_ell)
     when ell is in S.
     """
-    ells, Ls = _as_pair(s, t)
-    if kernel is None:
-        kernel = solve_kernel(s, t, grid)
-    r = grid.r
-    ue = riccati(float(ell), r)
-    uL, duL, _, _ = _orders_table(Ls, r)
-    den = _ll1(float(ell)) - _ll1(Ls)
+    kernel = _kernel_for(s, t, grid, kernel)
+    ue, due = _riccati_half(float(ell), grid.r, True)
+    den = _ll1(float(ell)) - _ll1(np.asarray(kernel.Ls))
     if np.min(np.abs(den)) < 1e-12:
         raise DomainError(f"ell={ell:g} collides with an element of T")
-    wron = uL.T * ue.du[:, None] - duL.T * ue.u[:, None]
-    return ue.u - np.sum(kernel.a * wron / den[None, :], axis=1)
+    wron = kernel.uL.T * due[:, None] - kernel.duL.T * ue[:, None]
+    return ue - np.sum(kernel.a * wron / den[None, :], axis=1)
 
 
 def kernel_diag_series(s, t, grid: RadialGrid, waves) -> np.ndarray:
@@ -286,7 +292,7 @@ def kernel_diag_series(s, t, grid: RadialGrid, waves) -> np.ndarray:
     for ce, ell, phi in zip(c, ells, seq):
         if phi.shape != r.shape:
             raise DomainError("transformed wave not sampled on the grid")
-        total += ce * phi * riccati(float(ell), r).v
+        total += ce * phi * _riccati_half(float(ell), r, False, deriv=False)[0]
     return total
 
 

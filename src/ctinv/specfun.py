@@ -99,15 +99,43 @@ def bessel_jy(nu: float, x):
     y = special.yv(nu, arr)
     jp = special.jvp(nu, arr)
     yp = special.yvp(nu, arr)
-    for vals in (j, y, jp, yp):
+    _require_finite(nu, arr, j, y, jp, yp)
+    if scalar:
+        return float(j), float(y), float(jp), float(yp)
+    return j, y, jp, yp
+
+
+def _require_finite(nu: float, arr: np.ndarray, *values) -> None:
+    for vals in values:
         if not np.all(np.isfinite(vals)):
             bad = arr[~np.isfinite(np.asarray(vals))]
             raise SaturationError(
                 f"Bessel value saturated at nu={nu:g}, x~{float(np.min(bad)):.6g}"
             )
+
+
+def _riccati_half(lam: float, x, regular: bool, deriv: bool = True):
+    """One half of the Riccati pair: (u, u') from J or (v, v') from Y.
+
+    The derivative is None when `deriv` is false, so callers that read
+    only values skip scipy's derivative formula (two more Bessel orders).
+    Only the values computed are checked for saturation.
+    """
+    if not math.isfinite(lam) or lam <= -0.5:
+        raise DomainError("order lam must be finite and > -1/2")
+    arr, scalar = _as_positive_array(x, "x")
+    nu = lam + 0.5
+    factor = np.sqrt(0.5 * math.pi * arr)
+    c = (special.jv if regular else special.yv)(nu, arr)
+    _require_finite(nu, arr, c)
+    val, dval = factor * c, None
+    if deriv:
+        cp = (special.jvp if regular else special.yvp)(nu, arr)
+        _require_finite(nu, arr, cp)
+        dval = factor * (c / (2.0 * arr) + cp)
     if scalar:
-        return float(j), float(y), float(jp), float(yp)
-    return j, y, jp, yp
+        return float(val), (None if dval is None else float(dval))
+    return val, dval
 
 
 def riccati(lam: float, x) -> FunctionPair:
@@ -117,19 +145,7 @@ def riccati(lam: float, x) -> FunctionPair:
     the origin.  Derivatives follow from d/dx [sqrt(x) C_nu(x)] =
     sqrt(x) [C_nu/(2x) + C_nu'].
     """
-    if not math.isfinite(lam) or lam <= -0.5:
-        raise DomainError("order lam must be finite and > -1/2")
-    arr, scalar = _as_positive_array(x, "x")
-    nu = lam + 0.5
-    factor = np.sqrt(0.5 * math.pi * arr)
-    j, y, jp, yp = bessel_jy(nu, arr)
-    u = factor * j
-    v = factor * y
-    du = factor * (j / (2.0 * arr) + jp)
-    dv = factor * (y / (2.0 * arr) + yp)
-    if scalar:
-        return FunctionPair(float(u), float(du), float(v), float(dv))
-    return FunctionPair(u, du, v, dv)
+    return FunctionPair(*_riccati_half(lam, x, True), *_riccati_half(lam, x, False))
 
 
 def cross_wronskian(big_l: float, ell: float, x):
@@ -138,9 +154,9 @@ def cross_wronskian(big_l: float, ell: float, x):
     Unlike the same-order case this is not constant; it tends to
     cos((ell - L) pi / 2) as x -> infinity.
     """
-    ul = riccati(big_l, x)
-    vl = riccati(ell, x)
-    return ul.u * vl.dv - ul.du * vl.v
+    u, du = _riccati_half(big_l, x, True)
+    v, dv = _riccati_half(ell, x, False)
+    return u * dv - du * v
 
 
 def _cyl(kind: str, nu: float, x):

@@ -1,12 +1,15 @@
 """Algebraic layer: coefficient maps, nonlinear solves, tail sum rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import optimize
 
 from ctinv.ctcore import (
+    _phase_residual,
+    _wrap_pi,
     InputSet,
     ShiftedSet,
     asymptotic_data,
@@ -22,7 +25,9 @@ from ctinv.ctcore import (
 )
 from ctinv.errors import (
     DomainError,
+    IllConditionedWarning,
     InsufficientDataError,
+    InternalInconsistencyError,
     SingularConfigurationError,
 )
 
@@ -267,3 +272,56 @@ def test_one_shift_phase_formula():
     assert attractive.bound_ok is not None  # evaluated, truth not asserted
     with pytest.raises(SingularConfigurationError):
         one_shift_phase_formula(2.0, 2, 0.1)  # L(L+1) = ell(ell+1) pole
+
+
+def test_cos_cond_per_candidate():
+    for s in (InputSet((0, 1), (0.4389, 0.1246)), InputSet((0,), (0.2 * math.pi,))):
+        res = solve_T(s)
+        assert res.candidates and len(res.cos_cond) == len(res.candidates)
+        for t, cond in zip(res.candidates, res.cos_cond):
+            assert cond == np.linalg.cond(kappa_matrices(s, t)[1])
+
+
+def _public_residual(ells, deltas, trial):
+    """The Newton residual through the public, checked functions."""
+    srt = np.sort(trial)
+    if np.any(trial <= -0.5 + 1e-9) or (len(srt) > 1 and np.min(np.diff(srt)) < 1e-7):
+        return None
+    if np.min(np.abs(ells[:, None] - trial[None, :])) < 1e-7:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            return _wrap_pi(phases_from_T(ells, ShiftedSet(tuple(srt))) - deltas)
+    except InternalInconsistencyError:
+        return None
+
+
+def test_phase_residual_matches_public_path(monkeypatch):
+    rng = np.random.default_rng(20)
+    trials = []
+    for ells in ((0.0, 1.0), (0.0, 1.0, 2.0)):
+        ells = np.array(ells)
+        for k in range(200):
+            trial = rng.uniform(-0.49, ells[-1] + 3.0, len(ells))
+            if k % 4 == 1:
+                trial[0] = -0.5 + rng.uniform(0.0, 2e-9)  # at the order floor
+            elif k % 4 == 2:
+                trial[1] = trial[0] + rng.uniform(0.0, 1e-7)  # near-duplicate L
+            elif k % 4 == 3:
+                trial[-1] = rng.choice(ells) + rng.uniform(-1e-7, 1e-7)  # L on S
+            trials.append((ells, rng.uniform(-1.5, 1.5, len(ells)), trial))
+    expected = [_public_residual(*args) for args in trials]
+    assert sum(e is None for e in expected) >= 200
+    assert sum(e is not None for e in expected) >= 100
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Newton residual must not run cond() or catch warnings")
+
+    with monkeypatch.context() as patch:  # undone before pytest reports
+        patch.setattr(np.linalg, "cond", forbidden)
+        patch.setattr(warnings, "catch_warnings", forbidden)
+        residuals = [_phase_residual(*args) for args in trials]
+    for got, want in zip(residuals, expected):
+        assert (got is None) == (want is None)
+        assert want is None or np.array_equal(got, want)

@@ -219,3 +219,55 @@ def test_glm_matrix_domain_errors(ref1_input):
         glm_matrix(ref1_input, REF1_T, 0.0)
     with pytest.raises(SingularConfigurationError):
         glm_matrix(ref1_input, (0.0,), 1.0)  # T collides with S
+
+
+def test_transformed_wave_same_with_or_without_kernel(ref2_input):
+    grid = RadialGrid(0.01, 30.0)
+    kernel = solve_kernel(ref2_input, REF2_T, grid)
+    for ell in (0.0, 1.0, 2.0):
+        fresh = transformed_wave(ref2_input, REF2_T, ell, grid)
+        assert np.array_equal(fresh, transformed_wave(ref2_input, REF2_T, ell, grid, kernel))
+
+
+def test_kernel_from_another_grid_or_T_is_refused(ref2_input):
+    # same number of points, different step: the tables would line up silently
+    kernel = solve_kernel(ref2_input, REF2_T, RadialGrid(0.01, 8.0))
+    other_grid = RadialGrid(0.02, 16.0)
+    assert other_grid.n == kernel.grid.n
+    with pytest.raises(DomainError):
+        transformed_wave(ref2_input, REF2_T, 0.0, other_grid, kernel)
+    with pytest.raises(DomainError):
+        potential(ref2_input, REF2_T, other_grid, kernel=kernel)
+    other_t = (-0.2, 0.9295)
+    with pytest.raises(DomainError):
+        transformed_wave(ref2_input, other_t, 0.0, kernel.grid, kernel)
+    with pytest.raises(DomainError):
+        potential(ref2_input, other_t, kernel.grid, kernel=kernel)
+    with pytest.raises(DomainError):
+        potential((0, 2), REF2_T, kernel.grid, kernel=kernel)
+
+
+def test_only_the_used_riccati_halves_are_evaluated(ref2_input, monkeypatch):
+    # u and u' for T, v and v' for S; values alone where only values are read
+    from ctinv import specfun
+
+    calls = []
+    for name in ("jv", "yv", "jvp", "yvp"):
+        fn = getattr(specfun.special, name)
+        monkeypatch.setattr(
+            specfun.special, name, lambda nu, x, _f=fn, _n=name: calls.append((_n, nu)) or _f(nu, x)
+        )
+    grid = RadialGrid(0.01, 30.0)
+    kernel = solve_kernel(ref2_input, REF2_T, grid)
+    regular = {L + 0.5 for L in REF2_T}
+    irregular = {e + 0.5 for e in ref2_input.ells}
+    assert set(calls) == {(n, nu) for n in ("jv", "jvp") for nu in regular} | {
+        (n, nu) for n in ("yv", "yvp") for nu in irregular
+    }
+    calls.clear()
+    waves = [transformed_wave(ref2_input, REF2_T, float(e), grid, kernel) for e in ref2_input.ells]
+    assert set(calls) == {(n, nu) for n in ("jv", "jvp") for nu in irregular}
+    calls.clear()
+    kernel_diag_series(ref2_input, REF2_T, grid, waves)
+    extract_phase(grid.r, waves[0], 0, window=(10.0, 30.0))
+    assert {n for n, _ in calls} == {"jv", "yv"}

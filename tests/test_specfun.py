@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ctinv.errors import DomainError
+from ctinv.errors import DomainError, SaturationError
 from ctinv.specfun import (
+    _riccati_half,
     bessel_jy,
     cross_wronskian,
     interlacing_check,
@@ -211,3 +212,49 @@ def test_riccati_array_shapes():
     assert f.u.shape == (7,)
     g = riccati(1.3, 2.0)
     assert np.ndim(g.u) == 0
+
+
+def test_riccati_fields_are_the_exact_halves():
+    # the halves keep the Bessel-based arithmetic bit for bit, and the
+    # value-only form returns the same value without a derivative
+    for lam in (-0.45, 0.0, 0.37, 1.0, 2.6, 8.0):
+        for x in (2.3, np.linspace(0.05, 40.0, 301)):
+            arr = np.asarray(x, dtype=float)
+            factor = np.sqrt(0.5 * math.pi * arr)
+            j, y, jp, yp = bessel_jy(lam + 0.5, arr)
+            old = (
+                factor * j,
+                factor * (j / (2.0 * arr) + jp),
+                factor * y,
+                factor * (y / (2.0 * arr) + yp),
+            )
+            f = riccati(lam, x)
+            halves = (*_riccati_half(lam, x, True), *_riccati_half(lam, x, False))
+            for got, half, want in zip(f, halves, old):
+                assert np.array_equal(got, half) and np.array_equal(got, want)
+                assert np.ndim(got) == np.ndim(x)
+            for regular, want in ((True, f.u), (False, f.v)):
+                val, none = _riccati_half(lam, x, regular, deriv=False)
+                assert none is None and np.array_equal(val, want)
+
+
+def test_cross_wronskian_is_exact_riccati_product():
+    x = np.linspace(0.1, 30.0, 97)
+    for big_l, ell in ((0.6, 0.0), (-0.3056, 1.0), (2.6, 2.0)):
+        ul, ve = riccati(big_l, x), riccati(ell, x)
+        assert np.array_equal(cross_wronskian(big_l, ell, x), ul.u * ve.dv - ul.du * ve.v)
+        scalar = cross_wronskian(big_l, ell, 3.5)
+        ul, ve = riccati(big_l, 3.5), riccati(ell, 3.5)
+        assert scalar == ul.u * ve.dv - ul.du * ve.v
+
+
+def test_regular_half_ignores_irregular_overflow():
+    # Y_{L+1/2} overflows near the origin at large L; the u half never
+    # evaluates it, so only the full pair reports saturation
+    x = np.linspace(0.005, 0.5, 100)
+    u, du = _riccati_half(150.0, x, True)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(du))
+    with pytest.raises(SaturationError):
+        riccati(150.0, x)
+    with pytest.raises(SaturationError):
+        _riccati_half(150.0, x, False, deriv=False)
