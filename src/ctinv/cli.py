@@ -16,7 +16,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,6 +72,14 @@ class RunConfig:
 _CONFIG_ALIASES = {"lambda": "lambda_max", "h": "step"}
 
 
+def _read_text(path: str, what: str = "") -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what}{path}: {exc}")
+
+
 def load_config(path: str | None) -> RunConfig:
     """Read a flat key=value config file; CTINV_CONFIG supplies the default path."""
     cfg = RunConfig()
@@ -79,10 +87,7 @@ def load_config(path: str | None) -> RunConfig:
         path = os.environ.get("CTINV_CONFIG")
     if not path:
         return cfg
-    try:
-        text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}")
+    text = _read_text(path, "config ")
     types = {f.name: f.type for f in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,10 +110,7 @@ def load_config(path: str | None) -> RunConfig:
 
 def read_phase_file(path: str) -> InputSet:
     """Parse 'ell delta' lines (comma or whitespace separated, # comments)."""
-    try:
-        text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+    text = _read_text(path)
     ells: list[int] = []
     deltas: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -133,39 +135,37 @@ def read_phase_file(path: str) -> InputSet:
         raise ParseError(f"invalid phase table in {path}: {exc}")
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_csv(path: str, kind: str, meta: dict[str, str], header: str, rows) -> None:
+    """One CSV layout: a version line, "# key = value" metadata, the header, the rows."""
+    lines = [f"# ctinv {kind} v{__version__}"]
+    lines += [f"# {key} = {value}" for key, value in meta.items()]
+    lines.append(header)
+    lines += rows
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_potential_csv(path: str, profile: PotentialProfile, input_set: InputSet | None = None) -> None:
-    lines = [f"# ctinv potential v{__version__}"]
-    lines.append("# S = " + ",".join(str(int(e)) for e in profile.ells))
+    meta = {"S": ",".join(str(int(e)) for e in profile.ells)}
     if input_set is not None:
-        lines.append("# deltas = " + ",".join(_fmt(d) for d in input_set.deltas))
+        meta["deltas"] = ",".join(_fmt(d) for d in input_set.deltas)
     if profile.Ls:
-        lines.append("# T = " + ",".join(_fmt(v) for v in profile.Ls))
-    lines.append("# h = " + _fmt(profile.h))
-    lines.append("# lambda = " + _fmt(profile.r_max))
+        meta["T"] = ",".join(_fmt(v) for v in profile.Ls)
+    meta["h"] = _fmt(profile.h)
+    meta["lambda"] = _fmt(profile.r_max)
     if profile.q_origin is not None:
-        lines.append("# q0 = " + _fmt(profile.q_origin))
+        meta["q0"] = _fmt(profile.q_origin)
     if profile.tail is not None:
-        lines.append("# alpha = " + _fmt(profile.tail.alpha))
-        lines.append("# beta = " + _fmt(profile.tail.beta))
-        lines.append("# gamma = " + _fmt(profile.tail.gamma))
-        lines.append("# tail_rms = " + _fmt(profile.tail.rms))
-    lines.append("r,q")
-    for r, q in zip(profile.r, profile.q):
-        lines.append(f"{_fmt(r)},{_fmt(q)}")
-    _write_lines(path, lines)
+        for key in ("alpha", "beta", "gamma"):
+            meta[key] = _fmt(getattr(profile.tail, key))
+        meta["tail_rms"] = _fmt(profile.tail.rms)
+    rows = [f"{_fmt(r)},{_fmt(q)}" for r, q in zip(profile.r, profile.q)]
+    _write_csv(path, "potential", meta, "r,q", rows)
 
 
 def read_potential_csv(path: str):
     """Read a potential CSV back: (r, q, tail or None, metadata dict)."""
-    try:
-        text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+    text = _read_text(path)
     meta: dict[str, str] = {}
     rs: list[float] = []
     qs: list[float] = []
@@ -203,7 +203,6 @@ def read_potential_csv(path: str):
                 float(meta["beta"]),
                 float(meta["gamma"]),
                 float(meta.get("tail_rms", 0.0)),
-                rs[-1],
             )
         except ValueError:
             raise ParseError(f"malformed tail coefficients in {path}")
@@ -211,45 +210,26 @@ def read_potential_csv(path: str):
 
 
 def write_phase_csv(path: str, table, meta: dict[str, str]) -> None:
-    lines = [f"# ctinv phases v{__version__}"]
-    for key, value in meta.items():
-        lines.append(f"# {key} = {value}")
-    lines.append("ell,delta,b_norm,residual")
-    for row in table.rows:
-        if row.error is None:
-            lines.append(
-                f"{row.ell},{_fmt(row.delta)},{_fmt(row.b_norm)},{_fmt(row.residual)}"
-            )
-        else:
-            lines.append(f"# ell {row.ell} failed: {row.error}")
-    _write_lines(path, lines)
+    rows = [
+        f"# ell {row.ell} failed: {row.error}"
+        if row.error is not None
+        else f"{row.ell},{_fmt(row.delta)},{_fmt(row.b_norm)},{_fmt(row.residual)}"
+        for row in table.rows
+    ]
+    _write_csv(path, "phases", meta, "ell,delta,b_norm,residual", rows)
 
 
 def write_map_csv(path: str, amap, meta: dict[str, str]) -> None:
-    lines = [f"# ctinv map v{__version__}"]
-    lines.append("# S = " + ",".join(str(e) for e in amap.ells))
-    for key, value in meta.items():
-        lines.append(f"# {key} = {value}")
-    lines.append("L1,L2,admissible")
-    for l1, l2, flag in amap.rows():
-        lines.append(f"{_fmt(l1)},{_fmt(l2)},{flag}")
-    _write_lines(path, lines)
+    rows = [f"{_fmt(l1)},{_fmt(l2)},{flag}" for l1, l2, flag in amap.rows()]
+    meta = {"S": ",".join(str(e) for e in amap.ells), **meta}
+    _write_csv(path, "map", meta, "L1,L2,admissible", rows)
 
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+def _json_default(obj):
+    """`default=` hook of json.dumps: numpy scalars and arrays as Python values."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _verdict_dict(verdict) -> dict:
@@ -324,7 +304,7 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
             np.zeros_like(grid.r),
             tuple(float(e) for e in input_set.ells),
             (),
-            TailFit(0.0, 0.0, 0.0, 0.0, float(grid.r[-1])),
+            TailFit(0.0, 0.0, 0.0, 0.0),
             cfg.step,
             float(grid.r[-1]),
             0.0,
@@ -408,16 +388,7 @@ def cmd_forward(args) -> tuple[int, dict | None]:
     report = {
         "potential": table.source,
         "grid": {"h": grid.h, "lambda": float(grid.r[-1])},
-        "phases": [
-            {
-                "ell": row.ell,
-                "delta": row.delta,
-                "b_norm": row.b_norm,
-                "residual": row.residual,
-                "error": row.error,
-            }
-            for row in table.rows
-        ],
+        "phases": [asdict(row) for row in table.rows],
         "out": out,
     }
     return EXIT_OK, report
@@ -432,9 +403,15 @@ def cmd_roundtrip(args) -> tuple[int, dict | None]:
     if report.get("zero_potential"):
         report["max_phase_discrepancy"] = 0.0
         return EXIT_OK, report
-    pot = SampledPotential.from_profile(profile)
-    grid = RadialGrid(profile.h, profile.r_max)
-    table = phase_table(pot, list(input_set.ells), grid)
+    # when S has one parity, the channels of the other parity must stay empty
+    parities = {int(ell) % 2 for ell in input_set.ells}
+    top = int(max(input_set.ells)) + 2
+    other = [ell for ell in range(top) if ell % 2 not in parities] if len(parities) == 1 else []
+    table = phase_table(
+        SampledPotential.from_profile(profile),
+        list(input_set.ells) + other,
+        RadialGrid(profile.h, profile.r_max),
+    )
     comparison = []
     worst = 0.0
     for ell, delta_in in zip(input_set.ells, input_set.deltas):
@@ -453,19 +430,12 @@ def cmd_roundtrip(args) -> tuple[int, dict | None]:
         worst = max(worst, diff)
     report["phases"] = comparison
     report["max_phase_discrepancy"] = worst
-    parities = {int(ell) % 2 for ell in input_set.ells}
-    if len(parities) == 1:
-        other = [
-            ell
-            for ell in range(int(max(input_set.ells)) + 2)
-            if ell % 2 != next(iter(parities))
-        ]
-        leak_table = phase_table(pot, other, grid)
+    if other:
         leakage = []
         worst_leak = 0.0
         for ell in other:
             try:
-                tan_delta = math.tan(leak_table.delta(ell))
+                tan_delta = math.tan(table.delta(ell))
             except CtinvError as exc:
                 leakage.append({"ell": ell, "error": str(exc)})
                 worst_leak = math.inf
@@ -483,23 +453,17 @@ def cmd_map(args) -> tuple[int, dict | None]:
         raise ParseError("map needs exactly two angular momenta, e.g. --ells 0,1")
     if len(args.box) != 4:
         raise ParseError("--box needs four numbers A,B,C,D")
+    res = args.res if args.res is not None else cfg.map_resolution
     amap = admissibility_map(
         ells,
         box=tuple(args.box),
-        resolution=args.res if args.res is not None else cfg.map_resolution,
+        resolution=res,
         r_max=args.lam,
         scan_resolution=cfg.scan_resolution,
         threads=args.threads if args.threads is not None else cfg.threads,
     )
     out = args.out or "map.csv"
-    write_map_csv(
-        out,
-        amap,
-        {
-            "box": ",".join(_fmt(v) for v in args.box),
-            "res": _fmt(args.res if args.res is not None else cfg.map_resolution),
-        },
-    )
+    write_map_csv(out, amap, {"box": ",".join(_fmt(v) for v in args.box), "res": _fmt(res)})
     report = {
         "S": list(amap.ells),
         "cells": int(amap.admissible.size),
@@ -546,16 +510,10 @@ def cmd_check(args) -> tuple[int, dict | None]:
 
 
 def cmd_specfun(args) -> tuple[int, dict | None]:
-    j, y, jp, yp = bessel_jy(args.nu, args.x)
-    print(f"J({args.nu:g}, {args.x:g}) = {_fmt(j)}")
-    print(f"Y({args.nu:g}, {args.x:g}) = {_fmt(y)}")
-    print(f"J'({args.nu:g}, {args.x:g}) = {_fmt(jp)}")
-    print(f"Y'({args.nu:g}, {args.x:g}) = {_fmt(yp)}")
-    pair = riccati(args.nu, args.x)
-    print(f"u({args.nu:g}, {args.x:g}) = {_fmt(pair.u)}")
-    print(f"u'({args.nu:g}, {args.x:g}) = {_fmt(pair.du)}")
-    print(f"v({args.nu:g}, {args.x:g}) = {_fmt(pair.v)}")
-    print(f"v'({args.nu:g}, {args.x:g}) = {_fmt(pair.dv)}")
+    # the Bessel lines print before riccati runs, so they survive its errors
+    for names, fn in ((("J", "Y", "J'", "Y'"), bessel_jy), (("u", "u'", "v", "v'"), riccati)):
+        for name, value in zip(names, fn(args.nu, args.x)):
+            print(f"{name}({args.nu:g}, {args.x:g}) = {_fmt(value)}")
     return EXIT_OK, None
 
 
@@ -570,18 +528,20 @@ def _merged_config(args) -> RunConfig:
     return cfg
 
 
-def _csv_ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _csv_list(cast, noun: str):
+    """argparse type for a comma-separated list of `cast` values."""
+
+    def parse(text: str) -> list:
+        try:
+            return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+
+    return parse
 
 
-def _csv_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_csv_ints = _csv_list(int, "integers")
+_csv_floats = _csv_list(float, "numbers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -681,7 +641,7 @@ def main(argv=None) -> int:
         return 1
     if report is not None:
         report.update(command=args.command, timing_seconds=time.perf_counter() - t0)
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        print(json.dumps(report, default=_json_default, indent=2, sort_keys=True))
     return code
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .ctcore import InputSet, ShiftedSet, _as_Ls, _as_ells, _as_pair, _ll1
+from .ctcore import InputSet, ShiftedSet, _as_Ls, _as_ells, _as_pair, _kappa
 from .errors import DomainError, InternalInconsistencyError
-from .glm import det_and_scale, fredholm_det
+from .glm import _det_scale, det_and_scale, fredholm_det
 
 __all__ = [
     "AdmissibilityVerdict",
@@ -74,15 +74,6 @@ def default_scan_radius(s, t) -> float:
     return max(50.0 + 10.0 * top, 700.0)
 
 
-def _limit_det_and_scale(ells: np.ndarray, Ls: np.ndarray):
-    """r -> infinity limit of the matching matrix determinant and scale."""
-    den = _ll1(ells)[:, None] - _ll1(Ls)[None, :]
-    m_inf = np.cos(0.5 * math.pi * (ells[:, None] - Ls[None, :])) / den
-    det = float(np.linalg.det(m_inf))
-    scale = float(np.prod(np.linalg.norm(m_inf, axis=1)))
-    return det, scale
-
-
 def scan_zeros(
     s,
     t,
@@ -107,7 +98,8 @@ def scan_zeros(
     radius = float(r_max) if r_max is not None else default_scan_radius(ells, Ls)
     if radius <= resolution:
         raise DomainError("r_max must exceed the resolution")
-    det_inf, scale_inf = _limit_det_and_scale(ells, Ls)
+    # the matching matrix tends to -M_cos as r -> infinity
+    det_inf, scale_inf = _det_scale(-_kappa(ells, Ls)[1])
 
     for attempt in range(max_doublings + 1):
         span = radius * 2.0**attempt
@@ -170,7 +162,7 @@ def select_physical(
     only when exactly one candidate is admissible; more than one sets
     `ambiguous` and callers must decide (all of them reproduce the data).
     """
-    ells = tuple(input_set.ells) if hasattr(input_set, "ells") else tuple(input_set)
+    ells = _as_ells(input_set)
     verdicts: list[AdmissibilityVerdict] = []
     admissible: list[ShiftedSet] = []
     unsettled = False
@@ -230,23 +222,19 @@ def admissibility_map(
         raise DomainError("the admissibility map is defined for |S| = 2")
     ells = tuple(int(e) for e in ells_arr)
     a, b, c, d = (float(x) for x in box)
-    if not (b > a and d > c):
-        raise DomainError("box must satisfy a < b and c < d")
+    if not (b > a and d > c and all(map(math.isfinite, (a, b, c, d)))):
+        raise DomainError("box must be finite with a < b and c < d")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise DomainError("resolution must be finite and > 0")
     axis1 = np.arange(a, b + 0.5 * resolution, resolution)
     axis2 = np.arange(c, d + 0.5 * resolution, resolution)
     flags = np.zeros((len(axis1), len(axis2)), dtype=bool)
     errors: list[tuple[int, int, str]] = []
 
     def valid(l1: float, l2: float) -> bool:
-        if l1 <= -0.5 + 1e-9 or l2 <= -0.5 + 1e-9:
+        if min(l1, l2) <= -0.5 + 1e-9 or abs(l1 - l2) < 1e-6:
             return False
-        if abs(l1 - l2) < 1e-6:
-            return False
-        if min(abs(l1 - e) for e in ells) < 1e-6:
-            return False
-        if min(abs(l2 - e) for e in ells) < 1e-6:
-            return False
-        return True
+        return min(abs(l - e) for l in (l1, l2) for e in ells) >= 1e-6
 
     square = np.array_equal(axis1, axis2)
     cells = [
@@ -269,11 +257,8 @@ def admissibility_map(
         except Exception as exc:  # recorded per cell, sweep continues
             return i, j, False, f"{type(exc).__name__}: {exc}"
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(idx) for idx in cells]
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        results = list(pool.map(work, cells))
     for i, j, ok, err in results:
         flags[i, j] = ok
         if err is not None:

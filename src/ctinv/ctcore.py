@@ -53,6 +53,12 @@ __all__ = [
 
 DISTINCT_TOL = 1e-9
 MIN_ORDER = -0.5
+# Newton search of solve_T: iteration cap, step and residual tolerances,
+# and the distance below which two solutions count as one
+NEWTON_MAX_ITER = 60
+NEWTON_TOL_STEP = 1e-12
+NEWTON_TOL_RESID = 1e-10
+DEDUPE_TOL = 1e-6
 
 
 def _ll1(x):
@@ -108,6 +114,15 @@ class InputSet:
         return len(self.ells)
 
 
+def _check_orders(vals, sym: str, noun: str) -> None:
+    """Sorted orders must be finite, > -1/2 and pairwise distinct."""
+    if any(not math.isfinite(v) or v <= MIN_ORDER for v in vals):
+        raise DomainError(f"every {sym} must be finite and > -1/2")
+    for lo, hi in zip(vals, vals[1:]):
+        if hi - lo < DISTINCT_TOL:
+            raise SingularConfigurationError(f"repeated {noun} {sym}={lo:.9g}")
+
+
 @dataclass(frozen=True)
 class ShiftedSet:
     """A set of shifted angular momenta, sorted, distinct, all > -1/2."""
@@ -118,11 +133,7 @@ class ShiftedSet:
         vals = tuple(sorted(float(v) for v in self.Ls))
         if len(vals) == 0:
             raise DomainError("T must be non-empty")
-        if any(not math.isfinite(v) or v <= MIN_ORDER for v in vals):
-            raise DomainError("every L must be finite and > -1/2")
-        for lo, hi in zip(vals, vals[1:]):
-            if hi - lo < DISTINCT_TOL:
-                raise SingularConfigurationError(f"repeated shifted momentum L={lo:.9g}")
+        _check_orders(vals, "L", "shifted momentum")
         object.__setattr__(self, "Ls", vals)
 
     def __len__(self) -> int:
@@ -130,18 +141,20 @@ class ShiftedSet:
 
 
 def _as_ells(s) -> np.ndarray:
+    """S as an array: an InputSet, or a sequence of distinct orders > -1/2."""
     if isinstance(s, InputSet):
         return np.asarray(s.ells, dtype=float)
     arr = np.asarray(list(s), dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("S must be a non-empty 1-d sequence")
+    _check_orders(np.sort(arr), "ell", "angular momentum")
     return arr
 
 
 def _as_Ls(t) -> np.ndarray:
-    if isinstance(t, ShiftedSet):
-        return np.asarray(t.Ls, dtype=float)
-    return _as_ells(ShiftedSet(tuple(float(v) for v in t)).Ls)
+    if not isinstance(t, ShiftedSet):
+        t = ShiftedSet(tuple(float(v) for v in t))
+    return np.asarray(t.Ls, dtype=float)
 
 
 def _as_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +172,11 @@ def _as_pair(s, t) -> tuple[np.ndarray, np.ndarray]:
     return ells, Ls
 
 
+def _node_products(xe: np.ndarray) -> np.ndarray:
+    """prod_{j != i} (xe_i - xe_j) for each node xe_i."""
+    return np.array([np.prod(xe[i] - np.delete(xe, i)) for i in range(len(xe))])
+
+
 def expansion_coeffs(s, t) -> np.ndarray:
     """Combination coefficients c_ell of the finite kernel expansion.
 
@@ -172,11 +190,7 @@ def expansion_coeffs(s, t) -> np.ndarray:
     xe = _ll1(ells)
     xt = _ll1(Ls)
     num = np.prod(xe[:, None] - xt[None, :], axis=1)
-    den = np.ones_like(num)
-    for i in range(len(ells)):
-        others = np.delete(xe, i)
-        den[i] = np.prod(xe[i] - others)
-    return num / den
+    return num / _node_products(xe)
 
 
 def coeffs_to_T(s, coeffs) -> ShiftedSet:
@@ -194,10 +208,7 @@ def coeffs_to_T(s, coeffs) -> ShiftedSet:
     if c.shape != (n,):
         raise DomainError("need exactly one coefficient per element of S")
     xe = _ll1(ells)
-    y = np.empty(n)
-    for i in range(n):
-        others = np.delete(xe, i)
-        y[i] = c[i] * np.prod(xe[i] - others)
+    y = c * _node_products(xe)
     # p(x) = x^n + a_{n-1} x^{n-1} + ... + a_0 with p(x_ell) = y_ell.
     vander = np.vander(xe, n)  # columns x^{n-1} .. x^0
     a = np.linalg.solve(vander, y - xe**n)
@@ -307,7 +318,7 @@ def _cos_cond(ells_arr: np.ndarray, candidates: list[ShiftedSet]) -> list[float]
     return [float(np.linalg.cond(_kappa(ells_arr, np.asarray(c.Ls))[1])) for c in candidates]
 
 
-def _newton_seed(ells_arr, deltas_arr, seed, tol_step, tol_resid, max_iter=60):
+def _newton_seed(ells_arr, deltas_arr, seed):
     """Damped Newton on the wrapped phase residual from one seed.
 
     Returns (T or None, final residual inf-norm).
@@ -318,8 +329,8 @@ def _newton_seed(ells_arr, deltas_arr, seed, tol_step, tol_resid, max_iter=60):
         return None, math.inf
     fnorm = float(np.max(np.abs(f)))
     n = len(x)
-    for _ in range(max_iter):
-        if fnorm < tol_resid:
+    for _ in range(NEWTON_MAX_ITER):
+        if fnorm < NEWTON_TOL_RESID:
             return x, fnorm
         jac = np.empty((n, n))
         h = 1e-6
@@ -354,9 +365,9 @@ def _newton_seed(ells_arr, deltas_arr, seed, tol_step, tol_resid, max_iter=60):
             alpha *= 0.5
         else:
             return None, fnorm
-        if alpha * float(np.max(np.abs(step))) < tol_step:
+        if alpha * float(np.max(np.abs(step))) < NEWTON_TOL_STEP:
             break
-    if fnorm < tol_resid:
+    if fnorm < NEWTON_TOL_RESID:
         return x, fnorm
     return None, fnorm
 
@@ -366,9 +377,6 @@ def solve_T(
     box: tuple[float, float] | None = None,
     seeds_per_axis: int = 12,
     k_range: int = 3,
-    tol_step: float = 1e-12,
-    tol_resid: float = 1e-10,
-    dedupe_tol: float = 1e-6,
 ) -> TSolveResult:
     """Find shifted sets T reproducing the input phase shifts.
 
@@ -417,7 +425,7 @@ def solve_T(
     candidates: list[np.ndarray] = []
     residuals: list[float] = []
     for seed in seeds:
-        sol, resid = _newton_seed(ells_arr, deltas_arr, seed, tol_step, tol_resid)
+        sol, resid = _newton_seed(ells_arr, deltas_arr, seed)
         residuals.append(resid)
         if sol is None:
             continue
@@ -427,7 +435,7 @@ def solve_T(
         final = _phase_residual(ells_arr, deltas_arr, srt)
         if final is None or float(np.max(np.abs(final))) > 1e-9:
             continue
-        if any(np.max(np.abs(srt - prev)) < dedupe_tol for prev in candidates):
+        if any(np.max(np.abs(srt - prev)) < DEDUPE_TOL for prev in candidates):
             continue
         candidates.append(srt)
     candidates.sort(key=lambda arr: tuple(arr))

@@ -262,16 +262,11 @@ class PhaseShiftTable:
                 return row.delta
         raise KeyError(f"ell={ell} not in table")
 
-    @property
-    def ok(self) -> bool:
-        return all(row.error is None for row in self.rows)
-
 
 def phase_table(
     pot,
     ells: Sequence[int] | int,
     grid: RadialGrid | None = None,
-    window: tuple[float, float] | None = None,
 ) -> PhaseShiftTable:
     """Integrate and extract phases for several ell at once.
 
@@ -287,7 +282,7 @@ def phase_table(
     for ell in ells:
         try:
             wave = integrate_regular(pot, int(ell), grid)
-            ext = extract_phase(grid.r, wave, int(ell), window)
+            ext = extract_phase(grid.r, wave, int(ell))
             rows.append(PhaseRow(int(ell), ext.delta, ext.b_norm, ext.residual))
         except (DomainError, WindowTooSmallError) as exc:
             rows.append(PhaseRow(int(ell), None, None, None, f"{type(exc).__name__}: {exc}"))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -95,19 +94,23 @@ def glm_matrix(s, t, r: float) -> np.ndarray:
     return m[0]
 
 
-def det_and_scale(s, t, r):
-    """Determinant of the matching matrix and its Hadamard row-norm scale.
+def _det_scale(m: np.ndarray):
+    """Determinant of each (stacked) matrix and its Hadamard row-norm scale.
 
     The scale (product of row 2-norms) bounds |det| from above and gives
     the natural yardstick for "numerically zero".
     """
+    return np.linalg.det(m), np.prod(np.linalg.norm(m, axis=-1), axis=-1)
+
+
+def det_and_scale(s, t, r):
+    """Determinant of the matching matrix and its Hadamard row-norm scale."""
     ells, Ls = _as_pair(s, t)
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rr <= 0.0):
         raise DomainError("r must be > 0")
     m, *_ = _matrices(ells, Ls, rr)
-    det = np.linalg.det(m)
-    scale = np.prod(np.linalg.norm(m, axis=2), axis=1)
+    det, scale = _det_scale(m)
     if np.isscalar(r) or np.asarray(r).ndim == 0:
         return float(det[0]), float(scale[0])
     return det, scale
@@ -127,11 +130,8 @@ class KernelSolution:
     ells: tuple[float, ...]
     Ls: tuple[float, ...]
     a: np.ndarray  # (n_points, |T|) coefficients A_L(r)
-    a_prime: np.ndarray
     k_diag: np.ndarray  # K(r, r)
     k_prime: np.ndarray  # d/dr K(r, r)
-    det: np.ndarray
-    det_scale: np.ndarray
     uL: np.ndarray  # (|T|, n_points) u_L and u_L' on the grid
     duL: np.ndarray
 
@@ -149,8 +149,7 @@ def solve_kernel(s, t, grid: RadialGrid) -> KernelSolution:
     ells, Ls = _as_pair(s, t)
     r = grid.r
     m, uL, duL, vE, dvE = _matrices(ells, Ls, r)
-    det = np.linalg.det(m)
-    scale = np.prod(np.linalg.norm(m, axis=2), axis=1)
+    det, scale = _det_scale(m)
     # compare against the grid-wide scale too: for |S|=1 the pointwise
     # Hadamard scale IS |det| and can never expose a vanishing determinant
     bad = np.abs(det) < DET_FLOOR * max(float(np.max(scale)), np.finfo(float).tiny)
@@ -168,9 +167,7 @@ def solve_kernel(s, t, grid: RadialGrid) -> KernelSolution:
     a_prime = np.linalg.solve(m, rhs_prime[..., None])[..., 0]
     k_diag = np.sum(a * uL.T, axis=1)
     k_prime = np.sum(a_prime * uL.T + a * duL.T, axis=1)
-    return KernelSolution(
-        grid, tuple(ells), tuple(Ls), a, a_prime, k_diag, k_prime, det, scale, uL, duL
-    )
+    return KernelSolution(grid, tuple(ells), tuple(Ls), a, k_diag, k_prime, uL, duL)
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,6 @@ class TailFit:
     beta: float
     gamma: float
     rms: float
-    window_start: float
 
 
 def _fit_tail(r: np.ndarray, k_diag: np.ndarray) -> TailFit | None:
@@ -194,7 +190,7 @@ def _fit_tail(r: np.ndarray, k_diag: np.ndarray) -> TailFit | None:
     coef, *_ = np.linalg.lstsq(basis, k_diag[start:], rcond=None)
     resid = k_diag[start:] - basis @ coef
     rms = float(np.sqrt(np.mean(resid**2)))
-    return TailFit(float(coef[0]), float(coef[1]), float(coef[2]), rms, float(rw[0]))
+    return TailFit(float(coef[0]), float(coef[1]), float(coef[2]), rms)
 
 
 @dataclass
@@ -275,17 +271,14 @@ def transformed_wave(s, t, ell: float, grid: RadialGrid, kernel: KernelSolution 
 def kernel_diag_series(s, t, grid: RadialGrid, waves) -> np.ndarray:
     """K(r, r) assembled from the S-side expansion sum_ell c_ell phi_ell v_ell.
 
-    `waves` maps each ell in S to its transformed wave on the grid (a
-    Mapping keyed by ell, or a sequence in S order).  Independent of the
-    A_L route through solve_kernel; the two must agree pointwise.
+    `waves` holds the transformed wave on the grid of each ell in S, in S
+    order.  Independent of the A_L route through solve_kernel; the two must
+    agree pointwise.
     """
     ells, Ls = _as_pair(s, t)
     c = expansion_coeffs(ells, Ls)
     r = grid.r
-    if isinstance(waves, Mapping):
-        seq = [np.asarray(waves[key]) for key in (s.ells if hasattr(s, "ells") else ells)]
-    else:
-        seq = [np.asarray(w) for w in waves]
+    seq = [np.asarray(w) for w in waves]
     if len(seq) != len(ells):
         raise DomainError("need one transformed wave per element of S")
     total = np.zeros_like(r)

@@ -31,7 +31,15 @@ __all__ = [
     "interlacing_check",
 ]
 
-ZERO_KINDS = ("j", "y", "jp", "yp")
+# zero kind -> (scipy derivative function, order of the derivative it is);
+# one order more gives its slope for the Newton polish
+_CYL = {
+    "j": (special.jvp, 0),
+    "y": (special.yvp, 0),
+    "jp": (special.jvp, 1),
+    "yp": (special.yvp, 1),
+}
+ZERO_KINDS = tuple(_CYL)
 
 
 class FunctionPair(NamedTuple):
@@ -159,30 +167,6 @@ def cross_wronskian(big_l: float, ell: float, x):
     return u * dv - du * v
 
 
-def _cyl(kind: str, nu: float, x):
-    if kind == "j":
-        return special.jv(nu, x)
-    if kind == "y":
-        return special.yv(nu, x)
-    if kind == "jp":
-        return special.jvp(nu, x)
-    if kind == "yp":
-        return special.yvp(nu, x)
-    raise DomainError(f"unknown zero kind {kind!r}; expected one of {ZERO_KINDS}")
-
-
-def _cyl_deriv(kind: str, nu: float, x):
-    if kind == "j":
-        return special.jvp(nu, x)
-    if kind == "y":
-        return special.yvp(nu, x)
-    if kind == "jp":
-        return special.jvp(nu, x, 2)
-    if kind == "yp":
-        return special.yvp(nu, x, 2)
-    raise DomainError(f"unknown zero kind {kind!r}")
-
-
 def positive_zeros(kind: str, nu: float, count: int) -> np.ndarray:
     """First `count` strictly positive zeros of J, Y, J' or Y' at order nu.
 
@@ -218,29 +202,32 @@ def positive_zeros(kind: str, nu: float, count: int) -> np.ndarray:
     # chain starts nu <= j'_{nu,1}), so scanning can start there.
     from scipy.optimize import brentq
 
+    deriv, order = _CYL[kind]
+
+    def f(x):
+        return deriv(nu, x, order)
+
     step = 0.25 * math.pi
     x_lo = max(1e-6, nu)
-    f_lo = _cyl(kind, nu, x_lo)
+    f_lo = f(x_lo)
     zeros: list[float] = []
     # Zeros of cylinder functions and their derivatives are separated by at
     # least ~1 for nu >= 0, so a pi/4 scan step cannot skip a sign change.
     max_steps = int((count + 2) * math.pi / step * 3) + 200
     for _ in range(max_steps):
         x_hi = x_lo + step
-        f_hi = _cyl(kind, nu, x_hi)
+        f_hi = f(x_hi)
         if f_lo == 0.0:
             root = x_lo
         elif f_lo * f_hi < 0.0:
-            root = brentq(lambda t: _cyl(kind, nu, t), x_lo, x_hi, xtol=1e-14, rtol=8.9e-16)
+            root = brentq(f, x_lo, x_hi, xtol=1e-14, rtol=8.9e-16)
         else:
             root = None
         if root is not None and (not zeros or root - zeros[-1] > 1e-9):
-            fp = _cyl_deriv(kind, nu, root)
+            fp = deriv(nu, root, order + 1)
             if fp != 0.0:
-                polished = root - _cyl(kind, nu, root) / fp
-                if x_lo <= polished <= x_hi and abs(_cyl(kind, nu, polished)) <= abs(
-                    _cyl(kind, nu, root)
-                ):
+                polished = root - f(root) / fp
+                if x_lo <= polished <= x_hi and abs(f(polished)) <= abs(f(root)):
                     root = polished
             zeros.append(float(root))
             if len(zeros) == count:

@@ -4,10 +4,12 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ctinv import cli
-from ctinv.consistency import scan_zeros
+from ctinv.consistency import AdmissibilityMap, scan_zeros
+from ctinv.forward import PhaseRow, PhaseShiftTable
 
 REF1_LINE = "0 0.6283185307179586\n"
 SUBCOMMANDS = ("invert", "forward", "roundtrip", "map", "check", "specfun")
@@ -130,6 +132,27 @@ def test_check_collision_exit_1(capsys):
     code, _, err = _run(capsys, ["check", "--ells", "0", "--T", "0"])
     assert code == 1
     assert "ctinv:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--ells", "0,0", "--T", "0.5,1.5"], "repeated angular momentum ell=0"),
+        (["check", "--ells", "-3", "--T", "0.5"], "every ell must be finite and > -1/2"),
+        (["map", "--ells", "1,1", "--box=0,1,0,1", "--res", "0.5"], "repeated angular momentum"),
+        (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0"], "resolution must be finite"),
+        (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "-0.5"], "resolution must be finite"),
+        (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "inf"], "resolution must be finite"),
+        (["map", "--ells", "0,1", "--box=0,inf,0,1", "--res", "0.5"], "box must be finite"),
+    ],
+)
+def test_bad_S_or_resolution_is_one_line_exit_1(argv, message, capsys, tmp_path):
+    if argv[0] == "map":
+        argv = argv + ["--out", str(tmp_path / "map.csv")]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"ctinv: {message}")
+    assert not (tmp_path / "map.csv").exists()
 
 
 # ---------------------------------------------------------------- invert
@@ -468,7 +491,7 @@ def test_map_contains_reference_cell(tmp_path, capsys):
 
 def test_map_thread_count_does_not_change_output(tmp_path, capsys):
     blobs = []
-    for tag, threads in (("a", "1"), ("b", "2")):
+    for tag, threads in (("a", "1"), ("b", "2"), ("c", "0")):
         out_csv = tmp_path / f"map_{tag}.csv"
         code, _, _ = _run(
             capsys,
@@ -487,7 +510,7 @@ def test_map_thread_count_does_not_change_output(tmp_path, capsys):
         )
         assert code == 0
         blobs.append(out_csv.read_bytes())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_map_needs_two_ells(capsys, tmp_path):
@@ -497,6 +520,85 @@ def test_map_needs_two_ells(capsys, tmp_path):
     )
     assert code == 2
     assert "two angular momenta" in err
+
+
+# ---------------------------------------------------------------- file formats
+
+
+def test_phase_csv_keeps_failed_channel_after_header(tmp_path):
+    table = PhaseShiftTable(
+        "ws(1,1,0.4)",
+        [
+            PhaseRow(0, 0.1, 2.0, 1e-9),
+            PhaseRow(1, None, None, None, "WindowTooSmallError: too short"),
+            PhaseRow(2, -0.25, 1.5, 3e-10),
+        ],
+    )
+    path = tmp_path / "phases.csv"
+    cli.write_phase_csv(str(path), table, {"potential": table.source, "h": "0.005"})
+    assert path.read_text().splitlines() == [
+        f"# ctinv phases v{cli.__version__}",
+        "# potential = ws(1,1,0.4)",
+        "# h = 0.005",
+        "ell,delta,b_norm,residual",
+        "0,0.1,2,1e-09",
+        "# ell 1 failed: WindowTooSmallError: too short",
+        "2,-0.25,1.5,3e-10",
+    ]
+
+
+def test_map_csv_names_S_before_box_and_res(tmp_path):
+    axis = np.array([0.5, 1.5])
+    amap = AdmissibilityMap((0, 1), axis, axis, np.array([[False, True], [True, False]]))
+    path = tmp_path / "map.csv"
+    cli.write_map_csv(str(path), amap, {"box": "0.5,1.5,0.5,1.5", "res": "1"})
+    assert path.read_text().splitlines() == [
+        f"# ctinv map v{cli.__version__}",
+        "# S = 0,1",
+        "# box = 0.5,1.5,0.5,1.5",
+        "# res = 1",
+        "L1,L2,admissible",
+        "0.5,0.5,0",
+        "0.5,1.5,1",
+        "1.5,0.5,1",
+        "1.5,1.5,0",
+    ]
+
+
+def _reference_jsonable(obj):
+    """The explicit converter reports went through before json.dumps."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    return obj
+
+
+def test_report_numpy_values_serialise_as_before(capsys, monkeypatch):
+    report = {
+        "flag": np.bool_(True),
+        "count": np.int64(-3),
+        "small": np.int32(7),
+        "x": np.float64(1.0 / 3.0),
+        "single": np.float32(0.1),
+        "grid": np.array([[1.5, 2.0], [np.inf, -0.0]]),
+        "flags": np.array([True, False]),
+        "pairs": [(np.float64(0.25), np.int16(2)), {"inner": np.arange(3)}],
+        "plain": [1, 2.5, True, None, "text", math.inf],
+    }
+    monkeypatch.setattr(cli, "cmd_specfun", lambda args: (0, dict(report)))
+    code, out, _ = _run(capsys, ["specfun", "--nu", "1", "--x", "1"])
+    assert code == 0
+    want = dict(report, command="specfun", timing_seconds=_report(out)["timing_seconds"])
+    assert out == json.dumps(_reference_jsonable(want), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------- config

@@ -11,7 +11,7 @@ from ctinv.consistency import (
     select_physical,
 )
 from ctinv.ctcore import InputSet, ShiftedSet
-from ctinv.errors import DomainError
+from ctinv.errors import DomainError, SingularConfigurationError
 
 RAMM_ZERO = 2.4431401944940823
 
@@ -149,3 +149,37 @@ def test_map_single_cell_when_resolution_exceeds_box():
 def test_map_requires_two_channels():
     with pytest.raises(DomainError):
         admissibility_map((0,), (0.2, 1.2, 0.2, 1.2), resolution=0.5)
+
+
+@pytest.mark.parametrize(
+    "ells, Ls, error",
+    [
+        ((0, 0), (0.5, 1.5), SingularConfigurationError),
+        ((1, 1 + 1e-10), (0.5, 1.5), SingularConfigurationError),
+        ((-3,), (0.5,), DomainError),
+        ((-0.5,), (0.5,), DomainError),
+        ((float("nan"),), (0.5,), DomainError),
+    ],
+)
+def test_raw_S_validated_like_input_set(ells, Ls, error):
+    # a plain sequence S gets the checks InputSet and ShiftedSet make
+    with pytest.raises(error):
+        scan_zeros(ells, Ls)
+    with pytest.raises(error):
+        select_physical(ells, [ShiftedSet(Ls)])
+
+
+@pytest.mark.parametrize(
+    "box, resolution",
+    [
+        ((0.0, 1.0, 0.0, 1.0), 0.0),
+        ((0.0, 1.0, 0.0, 1.0), -0.5),
+        ((0.0, 1.0, 0.0, 1.0), float("nan")),
+        ((0.0, 1.0, 0.0, 1.0), float("inf")),
+        ((0.0, float("inf"), 0.0, 1.0), 0.5),
+        ((-float("inf"), 1.0, 0.0, 1.0), 0.5),
+    ],
+)
+def test_map_lattice_must_be_finite(box, resolution):
+    with pytest.raises(DomainError):
+        admissibility_map((0, 1), box, resolution=resolution)

@@ -151,7 +151,7 @@ def test_sampled_potential_interpolation_and_tail():
         warnings.simplefilter("always")
         assert plain(np.array([12.0]))[0] == 0.0
     assert any("no fitted tail" in str(w.message) for w in caught)
-    tail = TailFit(0.1, -0.05, 0.0, 0.0, 8.0)
+    tail = TailFit(0.1, -0.05, 0.0, 0.0)
     with_tail = SampledPotential.from_arrays(r, q, tail=tail)
     expected = 4 * (-0.05 * math.sin(24.0) - 0.1 * math.cos(24.0)) / 144.0
     assert with_tail(np.array([12.0]))[0] == pytest.approx(expected, rel=1e-12)

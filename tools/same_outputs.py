@@ -37,6 +37,7 @@ PHASE_FILES = {
     "mid.txt": "0 0.4\n1 0.2\n",
     "reject.txt": "0 0.9\n1 0.4\n",
     "unsettled.txt": "0 0.4\n1 0.02\n",
+    "odd.txt": "1 0.3\n",
 }
 
 # Run in order: `forward --potential` reads the CSV that `invert` wrote.
@@ -45,12 +46,15 @@ COMMANDS = [
     ["invert", "--phases", "ref2.txt", "--out", "ref2.csv"],
     ["invert", "--phases", "zero.txt", "--out", "zero.csv"],
     ["invert", "--phases", "no_t.txt", "--out", "no_t.csv"],
+    # too short for a tail fit: no tail in the CSV, a moment_note in the report
+    ["invert", "--phases", "ref1.txt", "--lambda", "10", "--out", "short.csv"],
     ["roundtrip", "--phases", "ref1.txt"],
     ["roundtrip", "--phases", "ref2.txt", "--out", "ref2_rt.csv"],
     ["roundtrip", "--phases", "zero.txt"],
     ["roundtrip", "--phases", "mid.txt"],
     ["roundtrip", "--phases", "reject.txt"],
     ["roundtrip", "--phases", "unsettled.txt"],
+    ["roundtrip", "--phases", "odd.txt"],  # even-ell parity leakage rows
     ["check", "--ells", "0", "--T=-0.4"],
     ["check", "--ells", "0", "--T", "2"],
     ["check", "--ells", "0,1", "--T=-0.3056,0.9295"],
@@ -59,6 +63,8 @@ COMMANDS = [
     ["check", "--ells", "0,1", "--T=0.5,-0.2"],
     ["forward", "--ws", "1,1,0.4", "--ellmax", "8", "--out", "ws.csv"],
     ["forward", "--potential", "ref1.csv", "--ellmax", "2", "--out", "ref1_phases.csv"],
+    # every channel fails: the phase CSV holds only "# ell N failed" lines
+    ["forward", "--potential", "short.csv", "--ellmax", "1", "--out", "short_phases.csv"],
     ["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.25", "--threads", "2",
      "--out", "map_square.csv"],
     ["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1",
