@@ -21,8 +21,10 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .consistency import admissible_1d, admissibility_map, scan_zeros, select_physical
+from .consistency import SCAN_RESOLUTION, admissible_1d, admissibility_map, scan_zeros, select_physical
 from .ctcore import (
+    K_RANGE,
+    SEEDS_PER_AXIS,
     InputSet,
     ShiftedSet,
     asymptotic_data,
@@ -61,9 +63,9 @@ class RunConfig:
 
     lambda_max: float = 400.0
     step: float = 0.005
-    k_range: int = 3
-    seeds_per_axis: int = 12
-    scan_resolution: float = 0.05
+    k_range: int = K_RANGE
+    seeds_per_axis: int = SEEDS_PER_AXIS
+    scan_resolution: float = SCAN_RESOLUTION
     map_resolution: float = 0.02
     forward_lambda: float = 60.0
     threads: int = 1
@@ -259,12 +261,7 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
         report["moment_numeric"] = None
         report["moment_note"] = str(exc)
     if profile.tail is not None:
-        report[tail_key] = {
-            "alpha": profile.tail.alpha,
-            "beta": profile.tail.beta,
-            "gamma": profile.tail.gamma,
-            "rms": profile.tail.rms,
-        }
+        report[tail_key] = asdict(profile.tail)
     report["sum_rules"] = None
     if phases is not None:
         try:
@@ -275,12 +272,7 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
                 for ell in ells
             ]
             rules = sum_rules(ells, shifted, phases, b_factors)
-            report["sum_rules"] = {
-                "residual_cos": rules.residual_cos,
-                "residual_sin": rules.residual_sin,
-                "coeff_sum": rules.coeff_sum,
-                "b_factors": b_factors,
-            }
+            report["sum_rules"] = {**rules._asdict(), "b_factors": b_factors}
         except CtinvError as exc:
             report["sum_rule_note"] = str(exc)
     return profile
@@ -343,7 +335,7 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
             report,
             None,
         )
-    chosen = sel.chosen or sel.admissible[0]
+    chosen = sel.admissible[0]
     report["chosen_T"] = list(chosen.Ls)
     profile = _reconstruct(input_set.ells, chosen, cfg, input_set.deltas, report, "tail")
     report["moment_closed_form"] = moment_closed_form(input_set, chosen)
@@ -365,6 +357,8 @@ def cmd_invert(args) -> tuple[int, dict | None]:
 
 def cmd_forward(args) -> tuple[int, dict | None]:
     cfg = _merged_config(args)
+    if args.ellmax < 0:
+        raise ParseError("--ellmax must be >= 0")
     if args.ws is not None:
         if len(args.ws) != 3:
             raise ParseError("--ws needs DEPTH,RADIUS,DIFFUSENESS")
@@ -374,7 +368,7 @@ def cmd_forward(args) -> tuple[int, dict | None]:
         r, q, tail, _ = read_potential_csv(args.potential)
         pot = SampledPotential.from_arrays(r, q, tail, description=f"file:{args.potential}")
         grid = RadialGrid(cfg.step, float(r[-1]))
-    table = phase_table(pot, int(args.ellmax), grid)
+    table = phase_table(pot, args.ellmax, grid)
     out = args.out or "phases.csv"
     write_phase_csv(
         out,
@@ -412,50 +406,39 @@ def cmd_roundtrip(args) -> tuple[int, dict | None]:
         list(input_set.ells) + other,
         RadialGrid(profile.h, profile.r_max),
     )
-    comparison = []
-    worst = 0.0
-    for ell, delta_in in zip(input_set.ells, input_set.deltas):
-        try:
-            delta_out = table.delta(ell)
-        except CtinvError as exc:
-            comparison.append({"ell": ell, "input": delta_in, "error": str(exc)})
-            worst = math.inf
-            continue
-        diff = abs(
-            math.remainder(delta_out - delta_in, math.pi)
-        )
-        comparison.append(
-            {"ell": ell, "input": delta_in, "recovered": delta_out, "abs_diff": diff}
-        )
-        worst = max(worst, diff)
-    report["phases"] = comparison
-    report["max_phase_discrepancy"] = worst
+    # rows of S channels (leak = 0) compare with the input, leakage rows (1) with 0
+    entries = ([], [])
+    worst = [0.0, 0.0]
+    for k, row in enumerate(table.rows):
+        leak = int(k >= len(input_set))
+        entry = {"ell": row.ell} if leak else {"ell": row.ell, "input": input_set.deltas[k]}
+        if row.delta is None:
+            entry["error"] = f"no phase for ell={row.ell}: {row.error}"
+            dev = math.inf
+        elif leak:
+            entry["tan_delta"] = math.tan(row.delta)
+            dev = abs(entry["tan_delta"])
+        else:
+            dev = abs(math.remainder(row.delta - input_set.deltas[k], math.pi))
+            entry.update(recovered=row.delta, abs_diff=dev)
+        entries[leak].append(entry)
+        worst[leak] = max(worst[leak], dev)
+    report["phases"] = entries[0]
+    report["max_phase_discrepancy"] = worst[0]
     if other:
-        leakage = []
-        worst_leak = 0.0
-        for ell in other:
-            try:
-                tan_delta = math.tan(table.delta(ell))
-            except CtinvError as exc:
-                leakage.append({"ell": ell, "error": str(exc)})
-                worst_leak = math.inf
-                continue
-            leakage.append({"ell": ell, "tan_delta": tan_delta})
-            worst_leak = max(worst_leak, abs(tan_delta))
-        report["parity_leakage"] = {"ells": other, "rows": leakage, "max_abs_tan": worst_leak}
+        report["parity_leakage"] = {"ells": other, "rows": entries[1], "max_abs_tan": worst[1]}
     return EXIT_OK, report
 
 
 def cmd_map(args) -> tuple[int, dict | None]:
     cfg = _merged_config(args)
-    ells = args.ells
-    if len(ells) != 2:
+    if len(args.ells) != 2:
         raise ParseError("map needs exactly two angular momenta, e.g. --ells 0,1")
     if len(args.box) != 4:
         raise ParseError("--box needs four numbers A,B,C,D")
     res = args.res if args.res is not None else cfg.map_resolution
     amap = admissibility_map(
-        ells,
+        args.ells,
         box=tuple(args.box),
         resolution=res,
         r_max=args.lam,
@@ -477,10 +460,9 @@ def cmd_map(args) -> tuple[int, dict | None]:
 def cmd_check(args) -> tuple[int, dict | None]:
     cfg = _merged_config(args)
     ells = args.ells
-    t_vals = args.T
-    if len(ells) != len(t_vals):
+    if len(ells) != len(args.T):
         raise ParseError("--ells and --T must have the same length")
-    shifted = ShiftedSet(tuple(t_vals))
+    shifted = ShiftedSet(tuple(args.T))
     verdict = scan_zeros(ells, shifted, r_max=args.lam, resolution=cfg.scan_resolution)
     report = {
         "S": list(ells),
@@ -489,10 +471,8 @@ def cmd_check(args) -> tuple[int, dict | None]:
     }
     if len(ells) == 1:
         report["single_channel_rule"] = admissible_1d(float(ells[0]), shifted.Ls[0])
-    implied = None
     try:
-        implied = list(phases_from_T(ells, shifted))
-        report["implied_phases"] = implied
+        report["implied_phases"] = list(phases_from_T(ells, shifted))
     except CtinvError as exc:
         report["implied_phases"] = None
         report["phase_note"] = str(exc)
@@ -503,7 +483,8 @@ def cmd_check(args) -> tuple[int, dict | None]:
     report["sum_rules"] = None
     if verdict.admissible and verdict.settled:
         integral_s = all(float(ell) == int(ell) for ell in ells)
-        _reconstruct(ells, shifted, cfg, implied if integral_s else None, report, "tail_fit")
+        phases = report["implied_phases"] if integral_s else None
+        _reconstruct(ells, shifted, cfg, phases, report, "tail_fit")
     if not verdict.settled:
         return EXIT_UNSETTLED, report
     return (EXIT_OK if verdict.admissible else EXIT_NO_ADMISSIBLE), report

@@ -35,6 +35,7 @@ __all__ = [
 SETTLE_TOL = 1e-4
 DIP_TOL = 1e-10
 MAX_DOUBLINGS = 2
+SCAN_RESOLUTION = 0.05  # default sampling step of the determinant scan
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,19 @@ def default_scan_radius(s, t) -> float:
     return max(50.0 + 10.0 * top, 700.0)
 
 
+def _check_scan(r_max: float | None, resolution: float) -> None:
+    """Scan step finite and > 0; scan radius, when given, finite and above the step."""
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise DomainError("scan resolution must be finite and > 0")
+    if r_max is not None and not (math.isfinite(r_max) and r_max > resolution):
+        raise DomainError("scan radius r_max must be finite and exceed the scan resolution")
+
+
 def scan_zeros(
     s,
     t,
     r_max: float | None = None,
-    resolution: float = 0.05,
+    resolution: float = SCAN_RESOLUTION,
     max_doublings: int = MAX_DOUBLINGS,
 ) -> AdmissibilityVerdict:
     """Locate zeros of the Fredholm determinant on (0, r_max].
@@ -93,11 +102,8 @@ def scan_zeros(
     retried with the range doubled, at most `max_doublings` times.
     """
     ells, Ls = _as_pair(s, t)
-    if resolution <= 0.0:
-        raise DomainError("resolution must be > 0")
     radius = float(r_max) if r_max is not None else default_scan_radius(ells, Ls)
-    if radius <= resolution:
-        raise DomainError("r_max must exceed the resolution")
+    _check_scan(radius, resolution)
     # the matching matrix tends to -M_cos as r -> infinity
     det_inf, scale_inf = _det_scale(-_kappa(ells, Ls)[1])
 
@@ -151,8 +157,7 @@ class SelectionReport:
 def select_physical(
     input_set: InputSet,
     candidates: list[ShiftedSet],
-    r_max: float | None = None,
-    resolution: float = 0.05,
+    resolution: float = SCAN_RESOLUTION,
 ) -> SelectionReport:
     """Scan every candidate T and single out the admissible one(s).
 
@@ -167,7 +172,7 @@ def select_physical(
     admissible: list[ShiftedSet] = []
     unsettled = False
     for cand in candidates:
-        verdict = scan_zeros(ells, cand, r_max=r_max, resolution=resolution)
+        verdict = scan_zeros(ells, cand, resolution=resolution)
         if len(ells) == 1 and verdict.settled:
             rule = admissible_1d(float(ells[0]), cand.Ls[0])
             if rule != verdict.admissible:
@@ -202,10 +207,10 @@ class AdmissibilityMap:
 
 def admissibility_map(
     s,
-    box: tuple[float, float, float, float] = (-0.5, 6.0, -0.5, 6.0),
-    resolution: float = 0.02,
+    box: tuple[float, float, float, float],
+    resolution: float,
     r_max: float | None = None,
-    scan_resolution: float = 0.05,
+    scan_resolution: float = SCAN_RESOLUTION,
     threads: int = 1,
 ) -> AdmissibilityMap:
     """Scan a lattice of (L1, L2) pairs for a two-channel S.
@@ -215,7 +220,8 @@ def admissibility_map(
     under swapping L1 and L2 (T is a set), so when both axes are the same
     lattice only the upper triangle is computed and mirrored; otherwise
     every cell is scanned.  Per-cell failures are recorded in `errors` and
-    leave the cell marked inadmissible rather than aborting the sweep.
+    leave the cell marked inadmissible rather than aborting the sweep; the
+    scan radius and resolution are checked once, before it.
     """
     ells_arr = _as_ells(s)
     if len(ells_arr) != 2:
@@ -226,6 +232,7 @@ def admissibility_map(
         raise DomainError("box must be finite with a < b and c < d")
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError("resolution must be finite and > 0")
+    _check_scan(r_max, scan_resolution)
     axis1 = np.arange(a, b + 0.5 * resolution, resolution)
     axis2 = np.arange(c, d + 0.5 * resolution, resolution)
     flags = np.zeros((len(axis1), len(axis2)), dtype=bool)

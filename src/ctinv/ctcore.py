@@ -53,12 +53,15 @@ __all__ = [
 
 DISTINCT_TOL = 1e-9
 MIN_ORDER = -0.5
-# Newton search of solve_T: iteration cap, step and residual tolerances,
-# and the distance below which two solutions count as one
+# Newton search of solve_T: iteration cap, step and residual tolerances, the
+# distance below which two solutions count as one, and the default seeding
+# (lattice points per axis for |S| >= 2, branch range k for |S| = 1)
 NEWTON_MAX_ITER = 60
 NEWTON_TOL_STEP = 1e-12
 NEWTON_TOL_RESID = 1e-10
 DEDUPE_TOL = 1e-6
+SEEDS_PER_AXIS = 12
+K_RANGE = 3
 
 
 def _ll1(x):
@@ -104,11 +107,10 @@ class InputSet:
             raise DomainError("angular momenta must be >= 0")
         if len(set(ells)) != len(ells):
             raise DomainError("angular momenta must be distinct")
-        deltas = tuple(reduce_phase(d) for d in self.deltas)
-        if any(not math.isfinite(d) for d in deltas):
+        if any(not math.isfinite(d) for d in self.deltas):
             raise DomainError("phase shifts must be finite")
         object.__setattr__(self, "ells", ells)
-        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "deltas", tuple(reduce_phase(d) for d in self.deltas))
 
     def __len__(self) -> int:
         return len(self.ells)
@@ -243,14 +245,13 @@ def kappa_matrices(s, t) -> tuple[np.ndarray, np.ndarray]:
     collide (vanishing denominator).
     """
     m_sin, m_cos = _kappa(*_as_pair(s, t))
-    if m_cos.shape[0] == m_cos.shape[1]:
-        cond = np.linalg.cond(m_cos)
-        if not np.isfinite(cond) or cond > 1e12:
-            warnings.warn(
-                f"cos structure matrix condition ~{cond:.3g}",
-                IllConditionedWarning,
-                stacklevel=2,
-            )
+    cond = np.linalg.cond(m_cos)
+    if not np.isfinite(cond) or cond > 1e12:
+        warnings.warn(
+            f"cos structure matrix condition ~{cond:.3g}",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
     return m_sin, m_cos
 
 
@@ -296,11 +297,10 @@ class TSolveResult:
 
 def _phase_residual(ells_arr: np.ndarray, deltas_arr: np.ndarray, Ls: np.ndarray):
     """Wrapped phase mismatch for a trial T, or None when T is invalid."""
-    n = len(Ls)
     if np.any(Ls <= MIN_ORDER + 1e-9) or not np.all(np.isfinite(Ls)):
         return None
     srt = np.sort(Ls)
-    if n > 1 and np.min(np.diff(srt)) < 1e-7:
+    if len(Ls) > 1 and np.min(np.diff(srt)) < 1e-7:
         return None
     if np.min(np.abs(ells_arr[:, None] - Ls[None, :])) < 1e-7:
         return None
@@ -334,7 +334,6 @@ def _newton_seed(ells_arr, deltas_arr, seed):
             return x, fnorm
         jac = np.empty((n, n))
         h = 1e-6
-        ok = True
         for j in range(n):
             xp = x.copy()
             xm = x.copy()
@@ -343,11 +342,8 @@ def _newton_seed(ells_arr, deltas_arr, seed):
             fp = _phase_residual(ells_arr, deltas_arr, xp)
             fm = _phase_residual(ells_arr, deltas_arr, xm)
             if fp is None or fm is None:
-                ok = False
-                break
+                return None, fnorm
             jac[:, j] = (fp - fm) / (2.0 * h)
-        if not ok:
-            return None, fnorm
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -375,8 +371,8 @@ def _newton_seed(ells_arr, deltas_arr, seed):
 def solve_T(
     input_set: InputSet,
     box: tuple[float, float] | None = None,
-    seeds_per_axis: int = 12,
-    k_range: int = 3,
+    seeds_per_axis: int = SEEDS_PER_AXIS,
+    k_range: int = K_RANGE,
 ) -> TSolveResult:
     """Find shifted sets T reproducing the input phase shifts.
 
@@ -389,14 +385,20 @@ def solve_T(
     order and de-duplicated.
 
     All phase shifts below 1e-12 in magnitude short-circuit to the zero
-    potential: no T is needed and `zero_potential` is set.
+    potential: no T is needed and `zero_potential` is set.  A negative
+    `k_range`, or fewer than |S| seeds per axis for |S| >= 2, leaves no
+    seed to try and raises DomainError.
     """
+    n = len(input_set)
+    if k_range < 0:
+        raise DomainError("k_range must be >= 0")
+    if n > 1 and seeds_per_axis < n:
+        raise DomainError(f"seeds_per_axis must be >= |S| = {n}")
     ells_arr = np.asarray(input_set.ells, dtype=float)
     deltas_arr = np.asarray(input_set.deltas, dtype=float)
     if np.all(np.abs(deltas_arr) < 1e-12):
         return TSolveResult([], True)
 
-    n = len(input_set)
     if box is None:
         box = (MIN_ORDER, float(max(input_set.ells)) + 3.0)
     lo, hi = float(box[0]), float(box[1])
@@ -409,12 +411,8 @@ def solve_T(
         family = []
         for k in range(-k_range, k_range + 1):
             big_l = ell - 2.0 * delta / math.pi + 2.0 * k
-            if big_l <= MIN_ORDER + 1e-12:
-                continue
-            if np.min(np.abs(ells_arr - big_l)) < DISTINCT_TOL:
-                continue
-            family.append(ShiftedSet((big_l,)))
-        family.sort(key=lambda tt: tt.Ls)
+            if big_l > MIN_ORDER + 1e-12 and abs(big_l - ell) >= DISTINCT_TOL:
+                family.append(ShiftedSet((big_l,)))
         return TSolveResult(
             family, False, seeds_tried=len(family), cos_cond=_cos_cond(ells_arr, family)
         )
@@ -472,8 +470,7 @@ def asymptotic_data(s, t) -> AsymptoticData:
     alpha = (1/2) sum_L (a_L cos(L pi/2) - b_L sin(L pi/2)) and
     beta = -(1/2) sum_L (a_L sin(L pi/2) + b_L cos(L pi/2)).
     """
-    ells = _as_ells(s)
-    Ls = _as_Ls(t)
+    ells, Ls = _as_pair(s, t)
     _, m_cos = kappa_matrices(s, t)
     half_pi = 0.5 * math.pi
     a = np.linalg.solve(m_cos, np.cos(half_pi * ells))
@@ -542,13 +539,8 @@ def moment_closed_form(s, t) -> float:
     and K/r -> 0 at infinity the integral is twice that limit.
     """
     ells, Ls = _as_pair(s, t)
-    total = 0.0
-    for i, big_l in enumerate(Ls):
-        num = float(np.prod(big_l - ells))
-        others = np.delete(Ls, i)
-        den = float(np.prod(big_l - others)) if len(others) else 1.0
-        total += num / den
-    return 2.0 * total
+    num = np.prod(Ls[:, None] - ells[None, :], axis=1)
+    return float(2.0 * sum(num / _node_products(Ls)))
 
 
 class OneShiftPhase(NamedTuple):

@@ -46,6 +46,8 @@ class WoodsSaxon:
     diffuseness: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.depth, self.radius, self.diffuseness))):
+            raise DomainError("Woods-Saxon parameters must be finite")
         if self.diffuseness <= 0.0:
             raise DomainError("diffuseness must be > 0")
 
@@ -263,20 +265,16 @@ class PhaseShiftTable:
         raise KeyError(f"ell={ell} not in table")
 
 
-def phase_table(
-    pot,
-    ells: Sequence[int] | int,
-    grid: RadialGrid | None = None,
-) -> PhaseShiftTable:
+def phase_table(pot, ells: Sequence[int] | int, grid: RadialGrid) -> PhaseShiftTable:
     """Integrate and extract phases for several ell at once.
 
-    `ells` is a sequence of angular momenta or an int meaning 0..ell_max.
-    Per-ell extraction failures are recorded in the row instead of raised,
-    so one bad channel does not lose the others.
+    `ells` is a sequence of angular momenta or an int ell_max >= 0 meaning
+    0..ell_max.  Per-ell extraction failures are recorded in the row instead
+    of raised, so one bad channel does not lose the others.
     """
-    if grid is None:
-        grid = RadialGrid(h=0.005, r_max=60.0)
     if isinstance(ells, (int, np.integer)):
+        if ells < 0:
+            raise DomainError("ell_max must be >= 0")
         ells = list(range(int(ells) + 1))
     rows: list[PhaseRow] = []
     for ell in ells:

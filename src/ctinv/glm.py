@@ -47,8 +47,8 @@ DET_FLOOR = 1e-12
 class RadialGrid:
     """Uniform radial grid r = h, 2h, ..., ~r_max (the origin excluded)."""
 
-    h: float = 0.005
-    r_max: float = 400.0
+    h: float
+    r_max: float
 
     def __post_init__(self):
         if not (math.isfinite(self.h) and self.h > 0.0):
@@ -229,9 +229,7 @@ def _kernel_for(s, t, grid: RadialGrid, kernel: KernelSolution | None) -> Kernel
     return kernel
 
 
-def potential(
-    s, t, grid: RadialGrid | None = None, kernel: KernelSolution | None = None
-) -> PotentialProfile:
+def potential(s, t, grid: RadialGrid, kernel: KernelSolution | None = None) -> PotentialProfile:
     """Reconstruct q(r) = -(2/r) d/dr [K(r,r)/r] on the grid.
 
     The tail of K(r, r) is fitted over the last quarter of the grid; the
@@ -239,8 +237,6 @@ def potential(
     oscillation periods.  q(0) is reported by quadratic extrapolation of
     the innermost samples (the potential starts with zero slope).
     """
-    if grid is None:
-        grid = RadialGrid()
     sol = _kernel_for(s, t, grid, kernel)
     r = grid.r
     q = -2.0 * sol.k_prime / r**2 + 2.0 * sol.k_diag / r**3

@@ -238,13 +238,14 @@ def positive_zeros(kind: str, nu: float, count: int) -> np.ndarray:
     )
 
 
-_CHAIN = (
-    ("jp", 0, "y", 0, "j'(nu,s) < y(nu,s)"),
-    ("y", 0, "y", 1, "y(nu,s) < y(nu+eps,s)"),
-    ("y", 1, "yp", 0, "y(nu+eps,s) < y'(nu,s)"),
-    ("yp", 0, "j", 0, "y'(nu,s) < j(nu,s)"),
-    ("j", 0, "j", 1, "j(nu,s) < j(nu+eps,s)"),
-    ("j", 1, "jp+", 0, "j(nu+eps,s) < j'(nu,s+1)"),
+# the six links of one block of the chain, left to right
+_LINKS = (
+    "j'(nu,s) < y(nu,s)",
+    "y(nu,s) < y(nu+eps,s)",
+    "y(nu+eps,s) < y'(nu,s)",
+    "y'(nu,s) < j(nu,s)",
+    "j(nu,s) < j(nu+eps,s)",
+    "j(nu+eps,s) < j'(nu,s+1)",
 )
 
 
@@ -279,26 +280,20 @@ def interlacing_check(nu: float, eps: float, depth: int = 10) -> InterlacingResu
         jp_base = np.concatenate(([0.0], positive_zeros("jp", 0.0, depth)))
     else:
         jp_base = positive_zeros("jp", nu, depth + 1)
-    tables = {
-        ("jp", 0): jp_base,
-        ("y", 0): positive_zeros("y", nu, depth),
-        ("y", 1): positive_zeros("y", nu + eps, depth),
-        ("yp", 0): positive_zeros("yp", nu, depth),
-        ("j", 0): positive_zeros("j", nu, depth),
-        ("j", 1): positive_zeros("j", nu + eps, depth),
-    }
-
+    # row s - 1 holds block s: j'(nu,s), y(nu,s), ..., j(nu+eps,s), j'(nu,s+1)
+    chain = np.column_stack((
+        jp_base[:-1],
+        positive_zeros("y", nu, depth),
+        positive_zeros("y", nu + eps, depth),
+        positive_zeros("yp", nu, depth),
+        positive_zeros("j", nu, depth),
+        positive_zeros("j", nu + eps, depth),
+        jp_base[1:],
+    ))
     if nu > jp_base[0]:
         return InterlacingResult(False, 1, "nu <= j'(nu,1)")
-    for s in range(depth):
-        for kind_a, shift_a, kind_b, shift_b, label in _CHAIN:
-            left = tables[("jp", 0)][s] if kind_a == "jp" else tables[(kind_a, shift_a)][s]
-            if kind_b == "jp+":
-                if s + 1 >= len(jp_base):
-                    continue
-                right = jp_base[s + 1]
-            else:
-                right = tables[(kind_b, shift_b)][s]
-            if not left < right + 1e-9:
-                return InterlacingResult(False, s + 1, label)
+    broken = np.argwhere(~(chain[:, :-1] < chain[:, 1:] + 1e-9))
+    if len(broken):
+        s, link = broken[0]
+        return InterlacingResult(False, int(s) + 1, _LINKS[link])
     return InterlacingResult(True, None, None)

@@ -144,15 +144,57 @@ def test_check_collision_exit_1(capsys):
         (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "-0.5"], "resolution must be finite"),
         (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "inf"], "resolution must be finite"),
         (["map", "--ells", "0,1", "--box=0,inf,0,1", "--res", "0.5"], "box must be finite"),
+        (["check", "--ells", "0", "--T", "0.5", "--lambda", "nan"], "scan radius r_max must be finite"),
+        (["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1", "--lambda", "0.01"],
+         "scan radius r_max must be finite"),
+        (["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1", "--lambda", "nan"],
+         "scan radius r_max must be finite"),
+        (["forward", "--ws", "1,1,nan", "--ellmax", "2"], "Woods-Saxon parameters must be finite"),
+        (["forward", "--ws", "nan,1,0.4", "--ellmax", "2"], "Woods-Saxon parameters must be finite"),
     ],
 )
 def test_bad_S_or_resolution_is_one_line_exit_1(argv, message, capsys, tmp_path):
-    if argv[0] == "map":
-        argv = argv + ["--out", str(tmp_path / "map.csv")]
+    if argv[0] in ("map", "forward"):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith(f"ctinv: {message}")
-    assert not (tmp_path / "map.csv").exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "phases, flags, config, message",
+    [
+        (REF1_LINE, ["--k-range", "-1"], "", "k_range must be >= 0"),
+        ("0 0.4389\n1 0.1246\n", [], "seeds_per_axis = 0\n", "seeds_per_axis must be >= |S| = 2"),
+    ],
+    ids=["k_range", "seeds_per_axis"],
+)
+def test_invert_without_seeds_is_one_line_exit_1(phases, flags, config, message, capsys, tmp_path):
+    (tmp_path / "phases.txt").write_text(phases)
+    (tmp_path / "run.cfg").write_text(config)
+    argv = ["--config", str(tmp_path / "run.cfg"), "invert", "--phases", str(tmp_path / "phases.txt")]
+    code, out, err = _run(capsys, argv + ["--out", str(tmp_path / "out.csv")] + flags)
+    assert (code, out, err) == (1, "", f"ctinv: {message}\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["forward", "--ws", "1,1,0.4", "--ellmax", "-1"], "--ellmax must be >= 0"),
+        (["invert", "--phases", "inf.txt"], "phase shifts must be finite"),
+        (["roundtrip", "--phases", "nan.txt"], "phase shifts must be finite"),
+    ],
+)
+def test_negative_ellmax_or_infinite_phase_is_usage_error(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inf.txt").write_text("0 inf\n")
+    (tmp_path / "nan.txt").write_text("0 nan\n")
+    code, out, err = _run(capsys, argv + ["--out", "out.csv"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and message in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # ---------------------------------------------------------------- invert

@@ -183,3 +183,14 @@ def test_raw_S_validated_like_input_set(ells, Ls, error):
 def test_map_lattice_must_be_finite(box, resolution):
     with pytest.raises(DomainError):
         admissibility_map((0, 1), box, resolution=resolution)
+
+
+@pytest.mark.parametrize(
+    "r_max, resolution",
+    [(float("nan"), 0.05), (float("inf"), 0.05), (0.01, 0.05), (60.0, float("nan"))],
+)
+def test_scan_radius_and_resolution_must_be_finite(r_max, resolution):
+    with pytest.raises(DomainError):
+        scan_zeros((0,), (0.5,), r_max, resolution)
+    with pytest.raises(DomainError):
+        admissibility_map((0, 1), (0.2, 0.6, 0.2, 0.6), 0.2, r_max=r_max, scan_resolution=resolution)

@@ -51,6 +51,8 @@ def test_input_set_validation():
         InputSet((0, 1), (0.1,))
     with pytest.raises(DomainError):
         InputSet((), ())
+    with pytest.raises(DomainError):
+        InputSet((0,), (math.inf,))
     s = InputSet((0,), (0.2 * math.pi + math.pi,))
     assert s.deltas[0] == pytest.approx(0.2 * math.pi)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctinv.ctcore import reduce_phase
-from ctinv.errors import WindowTooSmallError
+from ctinv.errors import DomainError, WindowTooSmallError
 from ctinv.forward import (
     SampledPotential,
     WoodsSaxon,
@@ -163,3 +163,14 @@ def test_phase_table_accepts_scalar_ell():
     assert [row.ell for row in tab.rows] == [0, 1, 2]
     for row in tab.rows:
         assert abs(row.delta) < 1e-8
+
+
+@pytest.mark.parametrize("params", [(1.0, 1.0, math.nan), (math.nan, 1.0, 0.4), (1.0, math.inf, 0.4)])
+def test_woods_saxon_parameters_must_be_finite(params):
+    with pytest.raises(DomainError):
+        WoodsSaxon(*params)
+
+
+def test_phase_table_rejects_negative_ell_max():
+    with pytest.raises(DomainError):
+        phase_table(ZERO_POT, -1, RadialGrid(0.01, 20.0))

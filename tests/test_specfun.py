@@ -172,6 +172,27 @@ def test_interlacing_violated_beyond_unit_shift():
             assert res.relation  # names the first failing comparison
 
 
+H = (True, None, None)
+Y1_YP = "y(nu+eps,s) < y'(nu,s)"
+J1_JP = "j(nu+eps,s) < j'(nu,s+1)"
+
+
+@pytest.mark.parametrize(
+    "nu, expected",
+    [
+        (0.0, [H, H, H, (False, 1, Y1_YP), (False, 1, Y1_YP), (False, 1, Y1_YP)]),
+        (0.5, [H, H, H, (False, 1, Y1_YP), (False, 1, Y1_YP), (False, 1, Y1_YP)]),
+        (1.3, [H, H, H, (False, 1, J1_JP), (False, 1, Y1_YP), (False, 1, Y1_YP)]),
+        (2.7, [H, H, H, (False, 3, Y1_YP), (False, 1, J1_JP), (False, 1, Y1_YP)]),
+    ],
+)
+def test_interlacing_first_failure_pinned(nu, expected):
+    # (holds, violated_at, relation) for eps = 0.25, 0.5, 1, 1.2, 1.5, 2.5
+    epses = (0.25, 0.5, 1.0, 1.2, 1.5, 2.5)
+    got = [tuple(interlacing_check(nu, eps, depth=8 if eps <= 1 else 50)) for eps in epses]
+    assert got == expected
+
+
 def test_interlacing_depth_guard():
     with pytest.raises(DomainError):
         interlacing_check(0.5, 0.5, depth=1)

@@ -55,6 +55,8 @@ COMMANDS = [
     ["roundtrip", "--phases", "reject.txt"],
     ["roundtrip", "--phases", "unsettled.txt"],
     ["roundtrip", "--phases", "odd.txt"],  # even-ell parity leakage rows
+    # too short for extraction: S and leakage rows both carry the error text
+    ["roundtrip", "--phases", "ref1.txt", "--lambda", "10"],
     ["check", "--ells", "0", "--T=-0.4"],
     ["check", "--ells", "0", "--T", "2"],
     ["check", "--ells", "0,1", "--T=-0.3056,0.9295"],
