@@ -3,96 +3,10 @@
 Reconstructs a spherically symmetric potential from a finite set of phase
 shifts at one energy, checks the admissibility of the reconstruction
 through the Fredholm determinant of the underlying integral equation, and
-validates the result by solving the forward radial problem.
+validates the result by solving the forward radial problem.  The library
+lives in the submodules (`ctinv.ctcore`, `ctinv.glm`, `ctinv.consistency`,
+`ctinv.forward`, `ctinv.specfun`, `ctinv.errors`); the package root holds
+only the version.
 """
 
 __version__ = "0.1.0"
-
-from .consistency import (
-    AdmissibilityVerdict,
-    admissibility_map,
-    admissible_1d,
-    scan_zeros,
-    select_physical,
-)
-from .ctcore import (
-    InputSet,
-    ShiftedSet,
-    asymptotic_data,
-    coeffs_to_T,
-    expansion_coeffs,
-    kappa_matrices,
-    moment_closed_form,
-    one_shift_phase_formula,
-    phases_from_T,
-    reduce_phase,
-    solve_T,
-    sum_rules,
-)
-from .errors import CtinvError
-from .forward import (
-    SampledPotential,
-    WoodsSaxon,
-    extract_phase,
-    integrate_regular,
-    phase_table,
-)
-from .glm import (
-    PotentialProfile,
-    RadialGrid,
-    fredholm_det,
-    glm_matrix,
-    kernel_diag_series,
-    moment_numeric,
-    potential,
-    solve_kernel,
-    transformed_wave,
-)
-from .specfun import (
-    bessel_jy,
-    cross_wronskian,
-    interlacing_check,
-    positive_zeros,
-    riccati,
-)
-
-__all__ = [
-    "__version__",
-    "AdmissibilityVerdict",
-    "CtinvError",
-    "InputSet",
-    "PotentialProfile",
-    "RadialGrid",
-    "SampledPotential",
-    "ShiftedSet",
-    "WoodsSaxon",
-    "admissibility_map",
-    "admissible_1d",
-    "asymptotic_data",
-    "bessel_jy",
-    "coeffs_to_T",
-    "cross_wronskian",
-    "expansion_coeffs",
-    "extract_phase",
-    "fredholm_det",
-    "glm_matrix",
-    "integrate_regular",
-    "interlacing_check",
-    "kappa_matrices",
-    "kernel_diag_series",
-    "moment_closed_form",
-    "moment_numeric",
-    "one_shift_phase_formula",
-    "phase_table",
-    "phases_from_T",
-    "positive_zeros",
-    "potential",
-    "reduce_phase",
-    "riccati",
-    "scan_zeros",
-    "select_physical",
-    "solve_T",
-    "solve_kernel",
-    "sum_rules",
-    "transformed_wave",
-]

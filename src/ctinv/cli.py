@@ -147,16 +147,14 @@ def _write_csv(path: str, kind: str, meta: dict[str, str], header: str, rows) ->
         fh.write("\n".join(lines) + "\n")
 
 
-def write_potential_csv(path: str, profile: PotentialProfile, input_set: InputSet | None = None) -> None:
+def write_potential_csv(path: str, profile: PotentialProfile, input_set: InputSet) -> None:
     meta = {"S": ",".join(str(int(e)) for e in profile.ells)}
-    if input_set is not None:
-        meta["deltas"] = ",".join(_fmt(d) for d in input_set.deltas)
+    meta["deltas"] = ",".join(_fmt(d) for d in input_set.deltas)
     if profile.Ls:
         meta["T"] = ",".join(_fmt(v) for v in profile.Ls)
     meta["h"] = _fmt(profile.h)
     meta["lambda"] = _fmt(profile.r_max)
-    if profile.q_origin is not None:
-        meta["q0"] = _fmt(profile.q_origin)
+    meta["q0"] = _fmt(profile.q_origin)
     if profile.tail is not None:
         for key in ("alpha", "beta", "gamma"):
             meta[key] = _fmt(getattr(profile.tail, key))
@@ -368,7 +366,7 @@ def cmd_forward(args) -> tuple[int, dict | None]:
         r, q, tail, _ = read_potential_csv(args.potential)
         pot = SampledPotential.from_arrays(r, q, tail, description=f"file:{args.potential}")
         grid = RadialGrid(cfg.step, float(r[-1]))
-    table = phase_table(pot, args.ellmax, grid)
+    table = phase_table(pot, range(args.ellmax + 1), grid)
     out = args.out or "phases.csv"
     write_phase_csv(
         out,
@@ -406,7 +404,8 @@ def cmd_roundtrip(args) -> tuple[int, dict | None]:
         list(input_set.ells) + other,
         RadialGrid(profile.h, profile.r_max),
     )
-    # rows of S channels (leak = 0) compare with the input, leakage rows (1) with 0
+    # rows of S channels (leak = 0) compare with the input, leakage rows (1)
+    # with 0; a failed channel makes its block's maximum None (JSON null)
     entries = ([], [])
     worst = [0.0, 0.0]
     for k, row in enumerate(table.rows):
@@ -423,6 +422,7 @@ def cmd_roundtrip(args) -> tuple[int, dict | None]:
             entry.update(recovered=row.delta, abs_diff=dev)
         entries[leak].append(entry)
         worst[leak] = max(worst[leak], dev)
+    worst = [w if math.isfinite(w) else None for w in worst]
     report["phases"] = entries[0]
     report["max_phase_discrepancy"] = worst[0]
     if other:

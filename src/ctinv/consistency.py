@@ -36,6 +36,7 @@ SETTLE_TOL = 1e-4
 DIP_TOL = 1e-10
 MAX_DOUBLINGS = 2
 SCAN_RESOLUTION = 0.05  # default sampling step of the determinant scan
+MIN_SCAN_RADIUS = 700.0  # floor of default_scan_radius
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,14 @@ def default_scan_radius(s, t) -> float:
     ells = _as_ells(s)
     Ls = _as_Ls(t)
     top = float(max(np.max(ells), np.max(Ls)))
-    return max(50.0 + 10.0 * top, 700.0)
+    return max(50.0 + 10.0 * top, MIN_SCAN_RADIUS)
 
 
-def _check_scan(r_max: float | None, resolution: float) -> None:
-    """Scan step finite and > 0; scan radius, when given, finite and above the step."""
+def _check_scan(r_max: float, resolution: float) -> None:
+    """Scan step finite and > 0; scan radius finite and above the step."""
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError("scan resolution must be finite and > 0")
-    if r_max is not None and not (math.isfinite(r_max) and r_max > resolution):
+    if not (math.isfinite(r_max) and r_max > resolution):
         raise DomainError("scan radius r_max must be finite and exceed the scan resolution")
 
 
@@ -88,7 +89,6 @@ def scan_zeros(
     t,
     r_max: float | None = None,
     resolution: float = SCAN_RESOLUTION,
-    max_doublings: int = MAX_DOUBLINGS,
 ) -> AdmissibilityVerdict:
     """Locate zeros of the Fredholm determinant on (0, r_max].
 
@@ -99,7 +99,7 @@ def scan_zeros(
     sample and the sign of that sample agrees with the analytic
     r -> infinity limit whenever the latter is numerically nonzero (a
     disagreement proves a crossing beyond r_max).  An unsettled scan is
-    retried with the range doubled, at most `max_doublings` times.
+    retried with the range doubled, at most MAX_DOUBLINGS times.
     """
     ells, Ls = _as_pair(s, t)
     radius = float(r_max) if r_max is not None else default_scan_radius(ells, Ls)
@@ -107,7 +107,7 @@ def scan_zeros(
     # the matching matrix tends to -M_cos as r -> infinity
     det_inf, scale_inf = _det_scale(-_kappa(ells, Ls)[1])
 
-    for attempt in range(max_doublings + 1):
+    for attempt in range(MAX_DOUBLINGS + 1):
         span = radius * 2.0**attempt
         rr = np.arange(1, int(span / resolution) + 1, dtype=float) * resolution
         det, scale = det_and_scale(ells, Ls, rr)
@@ -221,7 +221,8 @@ def admissibility_map(
     lattice only the upper triangle is computed and mirrored; otherwise
     every cell is scanned.  Per-cell failures are recorded in `errors` and
     leave the cell marked inadmissible rather than aborting the sweep; the
-    scan radius and resolution are checked once, before it.
+    scan radius (MIN_SCAN_RADIUS, the smallest default, when r_max is None)
+    and resolution are checked once, before it.
     """
     ells_arr = _as_ells(s)
     if len(ells_arr) != 2:
@@ -232,7 +233,7 @@ def admissibility_map(
         raise DomainError("box must be finite with a < b and c < d")
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError("resolution must be finite and > 0")
-    _check_scan(r_max, scan_resolution)
+    _check_scan(MIN_SCAN_RADIUS if r_max is None else r_max, scan_resolution)
     axis1 = np.arange(a, b + 0.5 * resolution, resolution)
     axis2 = np.arange(c, d + 0.5 * resolution, resolution)
     flags = np.zeros((len(axis1), len(axis2)), dtype=bool)

@@ -370,7 +370,6 @@ def _newton_seed(ells_arr, deltas_arr, seed):
 
 def solve_T(
     input_set: InputSet,
-    box: tuple[float, float] | None = None,
     seeds_per_axis: int = SEEDS_PER_AXIS,
     k_range: int = K_RANGE,
 ) -> TSolveResult:
@@ -380,9 +379,8 @@ def solve_T(
     L = ell - 2 delta / pi + 2k; k runs over [-k_range, k_range] and
     invalid members (L <= -1/2 or colliding with S) are dropped.  For
     |S| >= 2 a damped Newton iteration runs from a lattice of ordered
-    seed tuples spanning `box` (default (-1/2, max(S) + 3)); converged
-    solutions are validated against the residual, canonicalised in sorted
-    order and de-duplicated.
+    seed tuples spanning (-1/2, max(S) + 3); converged solutions inside
+    that box are canonicalised in sorted order and de-duplicated.
 
     All phase shifts below 1e-12 in magnitude short-circuit to the zero
     potential: no T is needed and `zero_potential` is set.  A negative
@@ -399,12 +397,6 @@ def solve_T(
     if np.all(np.abs(deltas_arr) < 1e-12):
         return TSolveResult([], True)
 
-    if box is None:
-        box = (MIN_ORDER, float(max(input_set.ells)) + 3.0)
-    lo, hi = float(box[0]), float(box[1])
-    if not (hi > lo > MIN_ORDER - 1e-12):
-        raise DomainError("box must satisfy -1/2 <= lo < hi")
-
     if n == 1:
         ell = ells_arr[0]
         delta = deltas_arr[0]
@@ -417,6 +409,7 @@ def solve_T(
             family, False, seeds_tried=len(family), cos_cond=_cos_cond(ells_arr, family)
         )
 
+    lo, hi = MIN_ORDER, float(max(input_set.ells)) + 3.0
     margin = 0.02 * (hi - lo)
     axis = np.linspace(lo + margin, hi - margin, seeds_per_axis)
     seeds = [np.array(c) for c in itertools.combinations(axis, n)]
@@ -429,9 +422,6 @@ def solve_T(
             continue
         srt = np.sort(sol)
         if srt[0] <= lo - 1e-9 or srt[-1] >= hi + 1e-9:
-            continue
-        final = _phase_residual(ells_arr, deltas_arr, srt)
-        if final is None or float(np.max(np.abs(final))) > 1e-9:
             continue
         if any(np.max(np.abs(srt - prev)) < DEDUPE_TOL for prev in candidates):
             continue

@@ -63,22 +63,20 @@ class WoodsSaxon:
 class SampledPotential:
     """A radial potential the integrator can evaluate anywhere.
 
-    Wraps either an analytic callable or grid samples.  Sampled data is
-    interpolated with a cubic spline; beyond the last sample the fitted
-    oscillatory tail (when available) or zero is used, and below the first
-    sample the value is held constant (reconstructed potentials have
-    q'(0) = 0, so the constant extension is second-order accurate).
+    Wraps either an analytic callable and its label, or grid samples.
+    Sampled data is interpolated with a cubic spline; beyond the last sample
+    the fitted oscillatory tail (when available) or zero is used, and below
+    the first sample the value is held constant (reconstructed potentials
+    have q'(0) = 0, so the constant extension is second-order accurate).
+    Samples must be finite.
     """
 
-    def __init__(self, fn: Callable, description: str = "callable"):
+    def __init__(self, fn: Callable, label: str):
         self._fn = fn
-        self.description = description
+        self._label = label
 
-    @classmethod
-    def from_callable(cls, fn: Callable, description: str | None = None) -> "SampledPotential":
-        if description is None:
-            description = getattr(fn, "describe", lambda: "callable")()
-        return cls(fn, description)
+    def describe(self) -> str:
+        return self._label
 
     @classmethod
     def from_arrays(
@@ -92,6 +90,8 @@ class SampledPotential:
         q = np.asarray(q, dtype=float)
         if r.ndim != 1 or r.shape != q.shape or len(r) < 4:
             raise DomainError("need matching 1-d arrays with at least 4 samples")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(q))):
+            raise DomainError("potential samples must be finite")
         if np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:
             raise DomainError("radii must be positive and strictly increasing")
         spline = CubicSpline(r, q, extrapolate=False)
@@ -195,19 +195,14 @@ class PhaseExtraction(NamedTuple):
     residual: float
 
 
-def extract_phase(
-    r: np.ndarray,
-    wave: np.ndarray,
-    ell: int,
-    window: tuple[float, float] | None = None,
-) -> PhaseExtraction:
+def extract_phase(r: np.ndarray, wave: np.ndarray, ell: int) -> PhaseExtraction:
     """Fit the free-solution pair over a window and read off the phase.
 
     Beyond the potential the wave is exactly p u_ell(r) - m v_ell(r) with
     p = B cos delta, m = B sin delta, so the fit basis is (u_ell, -v_ell)
     rather than bare sinusoids; that keeps every 1/r order of the free
-    equation out of the residual.  The window defaults to the last quarter
-    of the grid and must span at least two oscillation periods.  The rms
+    equation out of the residual.  The window is the last quarter of the
+    grid and must span at least two oscillation periods.  The rms
     misfit must stay below 1e-3 |b|; a larger residual means the window is
     not asymptotic (or too short) and raises WindowTooSmallError.
     """
@@ -215,9 +210,7 @@ def extract_phase(
     wave = np.asarray(wave, dtype=float)
     if r.shape != wave.shape or r.ndim != 1:
         raise DomainError("r and wave must be matching 1-d arrays")
-    if window is None:
-        window = (float(r[0] + 0.75 * (r[-1] - r[0])), float(r[-1]))
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = float(r[0] + 0.75 * (r[-1] - r[0])), float(r[-1])
     mask = (r >= lo) & (r <= hi)
     if hi - lo < 4.0 * math.pi or int(np.count_nonzero(mask)) < 16:
         raise WindowTooSmallError(
@@ -265,17 +258,13 @@ class PhaseShiftTable:
         raise KeyError(f"ell={ell} not in table")
 
 
-def phase_table(pot, ells: Sequence[int] | int, grid: RadialGrid) -> PhaseShiftTable:
+def phase_table(pot, ells: Sequence[int], grid: RadialGrid) -> PhaseShiftTable:
     """Integrate and extract phases for several ell at once.
 
-    `ells` is a sequence of angular momenta or an int ell_max >= 0 meaning
-    0..ell_max.  Per-ell extraction failures are recorded in the row instead
-    of raised, so one bad channel does not lose the others.
+    `pot` is a WoodsSaxon or a SampledPotential (its describe() names the
+    table's source).  Per-ell extraction failures are recorded in the row
+    instead of raised, so one bad channel does not lose the others.
     """
-    if isinstance(ells, (int, np.integer)):
-        if ells < 0:
-            raise DomainError("ell_max must be >= 0")
-        ells = list(range(int(ells) + 1))
     rows: list[PhaseRow] = []
     for ell in ells:
         try:
@@ -284,5 +273,4 @@ def phase_table(pot, ells: Sequence[int] | int, grid: RadialGrid) -> PhaseShiftT
             rows.append(PhaseRow(int(ell), ext.delta, ext.b_norm, ext.residual))
         except (DomainError, WindowTooSmallError) as exc:
             rows.append(PhaseRow(int(ell), None, None, None, f"{type(exc).__name__}: {exc}"))
-    source = getattr(pot, "description", None) or getattr(pot, "describe", lambda: "callable")()
-    return PhaseShiftTable(source, rows)
+    return PhaseShiftTable(pot.describe(), rows)

@@ -204,7 +204,7 @@ class PotentialProfile:
     tail: TailFit | None
     h: float
     r_max: float
-    q_origin: float | None = None
+    q_origin: float
 
 
 def _extrapolate_origin(r: np.ndarray, q: np.ndarray) -> float:

@@ -78,7 +78,7 @@ def test_criterion_01_single_shift_inversion():
 def test_criterion_02_woods_saxon_forward():
     t0 = time.perf_counter()
     pot = WoodsSaxon(1.0, 1.0, 0.4)
-    table = phase_table(pot, 1, RadialGrid(0.005, 60.0))
+    table = phase_table(pot, [0, 1], RadialGrid(0.005, 60.0))
     dt = time.perf_counter() - t0
     e0 = _wrap_diff(table.delta(0), 0.4389)
     e1 = _wrap_diff(table.delta(1), 0.1246)
@@ -304,9 +304,7 @@ def test_criterion_11_special_function_floor():
         w = J * Yp - Jp * Y
         worst_bes = max(worst_bes, float(np.max(np.abs(w - 2.0 / (np.pi * x)) * (np.pi * x) / 2.0)))
     grid = RadialGrid(0.005, 50.0)
-    zero = SampledPotential.from_callable(
-        lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    )
+    zero = SampledPotential(lambda r: np.zeros_like(np.asarray(r, dtype=float)), "free")
     worst_free = 0.0
     for ell in range(7):
         phi = integrate_regular(zero, ell, grid)

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, file formats, determinism, config."""
 
-import functools
 import json
 import math
 
@@ -8,22 +7,27 @@ import numpy as np
 import pytest
 
 from ctinv import cli
-from ctinv.consistency import AdmissibilityMap, scan_zeros
+from ctinv.consistency import AdmissibilityMap
 from ctinv.forward import PhaseRow, PhaseShiftTable
 
 REF1_LINE = "0 0.6283185307179586\n"
 SUBCOMMANDS = ("invert", "forward", "roundtrip", "map", "check", "specfun")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which strict JSON has no literal for")
+
+
 def _run(capsys, argv):
     """Invoke the CLI in-process and hand back (exit code, stdout, stderr).
 
-    Every JSON report must name its subcommand and carry its wall time.
+    Every JSON report must be strict JSON (no NaN or Infinity), name its
+    subcommand and carry its wall time.
     """
     code = cli.main(argv)
     captured = capsys.readouterr()
     if captured.out.startswith("{"):
-        rep = json.loads(captured.out)
+        rep = json.loads(captured.out, parse_constant=_refuse_constant)
         assert rep["command"] == next(a for a in argv if a in SUBCOMMANDS)
         assert isinstance(rep["timing_seconds"], float)
     return code, captured.out, captured.err
@@ -64,17 +68,13 @@ def test_check_inadmissible_exit_3(capsys):
     assert rep["moment_numeric"] is None
 
 
-def test_check_unsettled_exit_4(capsys, monkeypatch):
-    # forbid range doubling so a short scan must report itself unsettled
-    monkeypatch.setattr(
-        cli, "scan_zeros", functools.partial(scan_zeros, max_doublings=0)
-    )
-    code, out, _ = _run(
-        capsys, ["check", "--ells", "0", "--T", "-0.4", "--lambda", "60"]
-    )
+def test_check_unsettled_exit_4(capsys):
+    # this pair has not settled when the scan has doubled its range twice
+    code, out, _ = _run(capsys, ["check", "--ells", "0,1", "--T=0.5,-0.2"])
     assert code == 4
     rep = _report(out)
     assert rep["settled"] is False
+    assert rep["scan_r_max"] == 2800.0
     assert rep["admissible"] is False
     assert rep["zeros"] == []
 
@@ -194,6 +194,27 @@ def test_negative_ellmax_or_infinite_phase_is_usage_error(argv, message, capsys,
     code, out, err = _run(capsys, argv + ["--out", "out.csv"])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        ("big.cfg", "scan_resolution = 1000\n",
+         ["--config", "big.cfg", "map", "--ells", "0,1", "--box=0.2,0.6,0.2,0.6", "--res", "0.2"],
+         "scan radius r_max must be finite and exceed the scan resolution"),
+        ("nan.csv", "r,q\n0.1,-1\n0.2,nan\n0.3,-0.9\n0.4,-0.8\n",
+         ["forward", "--potential", "nan.csv", "--ellmax", "1"], "potential samples must be finite"),
+        ("inf.csv", "r,q\n0.1,-1\n0.2,-0.95\n0.3,-0.9\ninf,-0.8\n",
+         ["forward", "--potential", "inf.csv", "--ellmax", "1"], "potential samples must be finite"),
+    ],
+    ids=["map_scan_step_above_default_radius", "nan_potential_sample", "inf_potential_radius"],
+)
+def test_out_of_range_input_file_is_one_line_exit_1(name, text, argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    code, out, err = _run(capsys, argv + ["--out", "out.csv"])
+    assert (code, out, err) == (1, "", f"ctinv: {message}\n")
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -501,6 +522,18 @@ def test_roundtrip_zero_phases(tmp_path, capsys):
     assert rep["max_phase_discrepancy"] == 0.0
 
 
+def test_roundtrip_failed_channels_give_null_maxima(tmp_path, capsys):
+    # a grid to r = 10 is too short to extract any phase
+    phases = tmp_path / "phases.txt"
+    phases.write_text(REF1_LINE)
+    code, out, _ = _run(capsys, ["roundtrip", "--phases", str(phases), "--lambda", "10"])
+    assert code == 0
+    rep = _report(out)
+    leak = rep["parity_leakage"]
+    assert rep["max_phase_discrepancy"] is None and leak["max_abs_tan"] is None
+    assert all("no phase for ell=" in row["error"] for row in rep["phases"] + leak["rows"])
+
+
 # ---------------------------------------------------------------- map
 
 
@@ -637,7 +670,9 @@ def test_report_numpy_values_serialise_as_before(capsys, monkeypatch):
         "plain": [1, 2.5, True, None, "text", math.inf],
     }
     monkeypatch.setattr(cli, "cmd_specfun", lambda args: (0, dict(report)))
-    code, out, _ = _run(capsys, ["specfun", "--nu", "1", "--x", "1"])
+    # not through _run: this report holds infinities on purpose
+    code = cli.main(["specfun", "--nu", "1", "--x", "1"])
+    out = capsys.readouterr().out
     assert code == 0
     want = dict(report, command="specfun", timing_seconds=_report(out)["timing_seconds"])
     assert out == json.dumps(_reference_jsonable(want), indent=2, sort_keys=True) + "\n"

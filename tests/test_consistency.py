@@ -40,8 +40,10 @@ def test_scan_multiple_zeros():
 
 
 def test_scan_unsettled_when_radius_too_small():
-    v = scan_zeros((0,), (-0.4,), 60.0, 0.05, max_doublings=0)
+    # still unsettled after the two range doublings, at r = 700 * 4
+    v = scan_zeros((0, 1), (0.5, -0.2))
     assert not v.settled
+    assert v.r_max == 2800.0
     assert not v.admissible  # no claim is made either way
 
 

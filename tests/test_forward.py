@@ -18,9 +18,7 @@ from ctinv.forward import (
 from ctinv.glm import RadialGrid, TailFit
 from ctinv.specfun import riccati
 
-ZERO_POT = SampledPotential.from_callable(
-    lambda r: np.zeros_like(np.asarray(r, dtype=float)), description="free"
-)
+ZERO_POT = SampledPotential(lambda r: np.zeros_like(np.asarray(r, dtype=float)), "free")
 
 
 def _projected_deviation(phi, ref):
@@ -51,9 +49,7 @@ def test_numerov_fourth_order():
     # halving h shrinks the projected deviation ~16x on a smooth potential;
     # the series-seeded start nudges the measured ratio a bit above that,
     # but it stays far from 2nd order (4x) and from roundoff noise
-    pot = SampledPotential.from_callable(
-        lambda r: -1.2 * np.exp(-0.5 * np.asarray(r) ** 2)
-    )
+    pot = SampledPotential(lambda r: -1.2 * np.exp(-0.5 * np.asarray(r) ** 2), "gauss")
     devs = []
     for h in (0.08, 0.04, 0.02):
         grid = RadialGrid(h, 40.0)
@@ -75,8 +71,8 @@ def test_square_well_calibration():
     for _ in range(20):
         v0 = float(rng.uniform(0.2, 2.0))
         a = (round(float(rng.uniform(0.5, 2.5)) / h) + 0.5) * h
-        pot = SampledPotential.from_callable(
-            lambda r, v0=v0, a=a: np.where(np.asarray(r) < a, -v0, 0.0)
+        pot = SampledPotential(
+            lambda r, v0=v0, a=a: np.where(np.asarray(r) < a, -v0, 0.0), "square"
         )
         got = extract_phase(grid.r, integrate_regular(pot, 0, grid), 0)
         big_k = math.sqrt(1.0 + v0)
@@ -89,9 +85,7 @@ def test_square_well_higher_ell():
     h, v0 = 0.0025, 1.3
     a = (round(1.7 / h) + 0.5) * h
     grid = RadialGrid(h, 60.0)
-    pot = SampledPotential.from_callable(
-        lambda r: np.where(np.asarray(r) < a, -v0, 0.0)
-    )
+    pot = SampledPotential(lambda r: np.where(np.asarray(r) < a, -v0, 0.0), "square")
     got = extract_phase(grid.r, integrate_regular(pot, 1, grid), 1)
     big_k = math.sqrt(1.0 + v0)
     fin = riccati(1.0, big_k * a)
@@ -129,16 +123,9 @@ def test_phase_table_error_rows():
 def test_extract_phase_window_guard():
     grid = RadialGrid(0.005, 60.0)
     phi = integrate_regular(ZERO_POT, 0, grid)
+    # the last quarter of r in (0, 20] spans 5 < 4 pi
     with pytest.raises(WindowTooSmallError):
-        extract_phase(grid.r, phi, 0, window=(55.0, 60.0))
-
-
-def test_extract_phase_explicit_window():
-    grid = RadialGrid(0.005, 80.0)
-    phi = integrate_regular(WoodsSaxon(1.0, 1.0, 0.4), 0, grid)
-    a = extract_phase(grid.r, phi, 0, window=(40.0, 70.0))
-    b = extract_phase(grid.r, phi, 0)
-    assert abs(reduce_phase(a.delta - b.delta)) < 1e-5
+        extract_phase(grid.r[:4000], phi[:4000], 0)
 
 
 def test_sampled_potential_interpolation_and_tail():
@@ -157,9 +144,9 @@ def test_sampled_potential_interpolation_and_tail():
     assert with_tail(np.array([12.0]))[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_phase_table_accepts_scalar_ell():
-    # an int is shorthand for "every channel up to and including that ell"
-    tab = phase_table(ZERO_POT, 2, RadialGrid(0.01, 60.0))
+def test_phase_table_takes_a_range_of_ells():
+    # `ctinv forward --ellmax 2` asks for range(3)
+    tab = phase_table(ZERO_POT, range(3), RadialGrid(0.01, 60.0))
     assert [row.ell for row in tab.rows] == [0, 1, 2]
     for row in tab.rows:
         assert abs(row.delta) < 1e-8
@@ -169,8 +156,3 @@ def test_phase_table_accepts_scalar_ell():
 def test_woods_saxon_parameters_must_be_finite(params):
     with pytest.raises(DomainError):
         WoodsSaxon(*params)
-
-
-def test_phase_table_rejects_negative_ell_max():
-    with pytest.raises(DomainError):
-        phase_table(ZERO_POT, -1, RadialGrid(0.01, 20.0))

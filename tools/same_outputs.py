@@ -5,7 +5,8 @@
 Each argument is a `src` directory holding the `ctinv` package.  Every
 command below runs once per tree, the two runs side by side in separate
 subprocesses, each in its own scratch directory with identical relative
-paths and with CTINV_CONFIG removed (built-in defaults).  For each
+paths and with CTINV_CONFIG removed (built-in defaults unless a command
+names a `--config` file of its own).  For each
 command the script compares the exit code, stderr, the JSON report (or
 plain stdout) and the bytes of every CSV written.  `timing_seconds` is
 dropped from reports; the scratch directory and the source directory are
@@ -29,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 
+# inputs written into each scratch directory: phase files, configs, a CSV
 PHASE_FILES = {
     "ref1.txt": "0 0.6283185307179586\n",
     "ref2.txt": "0 0.4389\n1 0.1246\n",
@@ -38,6 +40,9 @@ PHASE_FILES = {
     "reject.txt": "0 0.9\n1 0.4\n",
     "unsettled.txt": "0 0.4\n1 0.02\n",
     "odd.txt": "1 0.3\n",
+    "seeds2.cfg": "seeds_per_axis = 2\n",
+    "bigscan.cfg": "scan_resolution = 1000\n",
+    "nan.csv": "r,q\n0.1,-1\n0.2,nan\n0.3,-0.9\n0.4,-0.8\n",
 }
 
 # Run in order: `forward --potential` reads the CSV that `invert` wrote.
@@ -48,6 +53,8 @@ COMMANDS = [
     ["invert", "--phases", "no_t.txt", "--out", "no_t.csv"],
     # too short for a tail fit: no tail in the CSV, a moment_note in the report
     ["invert", "--phases", "ref1.txt", "--lambda", "10", "--out", "short.csv"],
+    # a 2-point seed lattice finds no T: exit 3 with best_seed_residual
+    ["--config", "seeds2.cfg", "invert", "--phases", "ref2.txt"],
     ["roundtrip", "--phases", "ref1.txt"],
     ["roundtrip", "--phases", "ref2.txt", "--out", "ref2_rt.csv"],
     ["roundtrip", "--phases", "zero.txt"],
@@ -67,10 +74,15 @@ COMMANDS = [
     ["forward", "--potential", "ref1.csv", "--ellmax", "2", "--out", "ref1_phases.csv"],
     # every channel fails: the phase CSV holds only "# ell N failed" lines
     ["forward", "--potential", "short.csv", "--ellmax", "1", "--out", "short_phases.csv"],
+    # a non-finite sample is refused
+    ["forward", "--potential", "nan.csv", "--ellmax", "1", "--out", "nan_phases.csv"],
     ["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.25", "--threads", "2",
      "--out", "map_square.csv"],
     ["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1",
      "--out", "map_box.csv"],
+    # a scan step above every default scan radius
+    ["--config", "bigscan.cfg", "map", "--ells", "0,1", "--box=0.2,0.6,0.2,0.6", "--res", "0.2",
+     "--out", "map_bigscan.csv"],
     ["specfun", "--nu", "1.7", "--x", "5.0"],
 ]
 
