@@ -164,7 +164,7 @@ def write_potential_csv(path: str, profile: PotentialProfile, input_set: InputSe
 
 
 def read_potential_csv(path: str):
-    """Read a potential CSV back: (r, q, tail or None, metadata dict)."""
+    """Read a potential CSV back: (r, q, tail or None)."""
     text = _read_text(path)
     meta: dict[str, str] = {}
     rs: list[float] = []
@@ -206,7 +206,7 @@ def read_potential_csv(path: str):
             )
         except ValueError:
             raise ParseError(f"malformed tail coefficients in {path}")
-    return np.asarray(rs), np.asarray(qs), tail, meta
+    return np.asarray(rs), np.asarray(qs), tail
 
 
 def write_phase_csv(path: str, table, meta: dict[str, str]) -> None:
@@ -363,7 +363,7 @@ def cmd_forward(args) -> tuple[int, dict | None]:
         pot = WoodsSaxon(*args.ws)
         grid = RadialGrid(cfg.step, cfg.forward_lambda)
     else:
-        r, q, tail, _ = read_potential_csv(args.potential)
+        r, q, tail = read_potential_csv(args.potential)
         pot = SampledPotential.from_arrays(r, q, tail, description=f"file:{args.potential}")
         grid = RadialGrid(cfg.step, float(r[-1]))
     table = phase_table(pot, range(args.ellmax + 1), grid)
@@ -436,17 +436,16 @@ def cmd_map(args) -> tuple[int, dict | None]:
         raise ParseError("map needs exactly two angular momenta, e.g. --ells 0,1")
     if len(args.box) != 4:
         raise ParseError("--box needs four numbers A,B,C,D")
-    res = args.res if args.res is not None else cfg.map_resolution
     amap = admissibility_map(
         args.ells,
         box=tuple(args.box),
-        resolution=res,
+        resolution=cfg.map_resolution,
         r_max=args.lam,
         scan_resolution=cfg.scan_resolution,
-        threads=args.threads if args.threads is not None else cfg.threads,
+        threads=cfg.threads,
     )
     out = args.out or "map.csv"
-    write_map_csv(out, amap, {"box": ",".join(_fmt(v) for v in args.box), "res": _fmt(res)})
+    write_map_csv(out, amap, {"box": ",".join(map(_fmt, args.box)), "res": _fmt(cfg.map_resolution)})
     report = {
         "S": list(amap.ells),
         "cells": int(amap.admissible.size),
@@ -499,13 +498,11 @@ def cmd_specfun(args) -> tuple[int, dict | None]:
 
 
 def _merged_config(args) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "lam", None) is not None and args.command in ("invert", "roundtrip"):
-        cfg.lambda_max = args.lam
-    if getattr(args, "step", None) is not None:
-        cfg.step = args.step
-    if getattr(args, "k_range", None) is not None:
-        cfg.k_range = args.k_range
+    """The config file's values, overridden by each flag whose dest names a field."""
+    cfg = load_config(args.config)
+    for f in fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     return cfg
 
 
@@ -551,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="reconstruct a potential from phase shifts")
     p.add_argument("--phases", required=True, help="file of 'ell delta' lines")
-    p.add_argument("--lambda", dest="lam", type=float, help="outer radius of the grid")
+    p.add_argument("--lambda", dest="lambda_max", type=float, help="outer radius of the grid")
     p.add_argument("--step", type=float, help="grid step h")
     p.add_argument("--k-range", dest="k_range", type=int, help="branch range for |S| = 1")
     p.add_argument("--out", help="potential CSV path (default potential.csv)")
@@ -573,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="invert, re-solve forward, compare phases")
     p.add_argument("--phases", required=True, help="file of 'ell delta' lines")
-    p.add_argument("--lambda", dest="lam", type=float, help="outer radius of the grid")
+    p.add_argument("--lambda", dest="lambda_max", type=float, help="outer radius of the grid")
     p.add_argument("--step", type=float, help="grid step h")
     p.add_argument("--k-range", dest="k_range", type=int)
     p.add_argument("--out", help="also write the reconstructed potential CSV here")
@@ -588,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A,B,C,D",
         help="rectangle [A,B] x [C,D] (default -0.5,6,-0.5,6)",
     )
-    p.add_argument("--res", type=float, help="lattice resolution (default 0.02)")
+    p.add_argument("--res", dest="map_resolution", type=float, help="lattice resolution (default 0.02)")
     p.add_argument("--threads", type=int, help="worker threads")
     p.add_argument("--lambda", dest="lam", type=float, help="scan radius per cell")
     p.add_argument("--out", help="map CSV path (default map.csv)")

@@ -15,11 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ctcore import InputSet, ShiftedSet, _as_Ls, _as_ells, _as_pair, _kappa
 from .errors import DomainError, InternalInconsistencyError
-from .glm import _det_scale, det_and_scale, fredholm_det
+from .glm import _det_scale, det_and_scale
 
 __all__ = [
     "AdmissibilityVerdict",
@@ -76,11 +75,13 @@ def default_scan_radius(s, t) -> float:
     return max(50.0 + 10.0 * top, MIN_SCAN_RADIUS)
 
 
-def _check_scan(r_max: float, resolution: float) -> None:
-    """Scan step finite and > 0; scan radius finite and above the step."""
+def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
+    """Scan step finite, > 0 and below the radius: r_max, or `default` when r_max is None."""
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError("scan resolution must be finite and > 0")
-    if not (math.isfinite(r_max) and r_max > resolution):
+    if r_max is None and resolution >= default:
+        raise DomainError(f"scan resolution must be below the default scan radius {default:g}")
+    if r_max is not None and not (math.isfinite(r_max) and r_max > resolution):
         raise DomainError("scan radius r_max must be finite and exceed the scan resolution")
 
 
@@ -103,7 +104,7 @@ def scan_zeros(
     """
     ells, Ls = _as_pair(s, t)
     radius = float(r_max) if r_max is not None else default_scan_radius(ells, Ls)
-    _check_scan(radius, resolution)
+    _check_scan(r_max, resolution, radius)
     # the matching matrix tends to -M_cos as r -> infinity
     det_inf, scale_inf = _det_scale(-_kappa(ells, Ls)[1])
 
@@ -115,8 +116,9 @@ def scan_zeros(
         zeros: list[float] = []
         sign_change = np.nonzero(det[:-1] * det[1:] < 0.0)[0]
         for k in sign_change:
+            from scipy.optimize import brentq  # deferred: importing scipy.optimize is slow
             root = brentq(
-                lambda x: fredholm_det(ells, Ls, x),
+                lambda x: det_and_scale(ells, Ls, x)[0],
                 rr[k],
                 rr[k + 1],
                 xtol=1e-12,
@@ -135,11 +137,9 @@ def scan_zeros(
         settled = bool(np.max(np.abs(det[window] - d_end)) <= SETTLE_TOL)
         if settled and abs(det_inf) > 1e-8 * scale_inf:
             settled = math.copysign(1.0, d_end) == math.copysign(1.0, det_inf)
-        if settled:
-            return AdmissibilityVerdict(len(zeros) == 0, tuple(zeros), float(span), True)
-        if zeros:
-            # A located zero decides inadmissibility regardless of settlement.
-            return AdmissibilityVerdict(False, tuple(zeros), float(span), True)
+        if settled or zeros:
+            # a located zero decides inadmissibility regardless of settlement
+            return AdmissibilityVerdict(not zeros, tuple(zeros), float(span), True)
     return AdmissibilityVerdict(False, (), float(span), False)
 
 
@@ -233,7 +233,7 @@ def admissibility_map(
         raise DomainError("box must be finite with a < b and c < d")
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError("resolution must be finite and > 0")
-    _check_scan(MIN_SCAN_RADIUS if r_max is None else r_max, scan_resolution)
+    _check_scan(r_max, scan_resolution, MIN_SCAN_RADIUS)
     axis1 = np.arange(a, b + 0.5 * resolution, resolution)
     axis2 = np.arange(c, d + 0.5 * resolution, resolution)
     flags = np.zeros((len(axis1), len(axis2)), dtype=bool)

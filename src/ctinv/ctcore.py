@@ -69,6 +69,12 @@ def _ll1(x):
     return x * (x + 1.0)
 
 
+def _as_channel(ell) -> int:
+    if not (math.isfinite(ell) and ell >= 0 and int(ell) == ell):
+        raise DomainError("ell must be a non-negative integer")
+    return int(ell)
+
+
 def reduce_phase(delta: float) -> float:
     """Reduce a phase to the principal branch (-pi/2, pi/2] modulo pi."""
     y = math.remainder(float(delta), math.pi)
@@ -96,7 +102,7 @@ class InputSet:
     deltas: tuple[float, ...]
 
     def __post_init__(self):
-        if any(float(e) != int(e) for e in self.ells):
+        if any(not math.isfinite(e) or float(e) != int(e) for e in self.ells):
             raise DomainError("angular momenta in S must be integers")
         ells = tuple(int(e) for e in self.ells)
         if len(ells) == 0:
@@ -550,9 +556,7 @@ def one_shift_phase_formula(big_l: float, ell: int, delta0: float) -> OneShiftPh
     tan delta_ell <= (4 / (15 ell^2)) tan delta_0 is evaluated into
     bound_ok (see README: the bound is reported, not relied on).
     """
-    if ell < 0 or int(ell) != ell:
-        raise DomainError("ell must be a non-negative integer")
-    ell = int(ell)
+    ell = _as_channel(ell)
     if ell % 2 == 1:
         return OneShiftPhase(0.0, 0.0, None)
     lam_t = _ll1(float(big_l))

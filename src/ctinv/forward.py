@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .ctcore import reduce_phase
+from .ctcore import _as_channel, reduce_phase
 from .errors import DomainError, WindowTooSmallError
 from .glm import PotentialProfile, RadialGrid, TailFit, tail_q
 from .specfun import _riccati_half
@@ -28,7 +27,6 @@ from .specfun import _riccati_half
 __all__ = [
     "WoodsSaxon",
     "SampledPotential",
-    "PhaseExtraction",
     "PhaseRow",
     "PhaseShiftTable",
     "integrate_regular",
@@ -94,6 +92,7 @@ class SampledPotential:
             raise DomainError("potential samples must be finite")
         if np.any(np.diff(r) <= 0.0) or r[0] <= 0.0:
             raise DomainError("radii must be positive and strictly increasing")
+        from scipy.interpolate import CubicSpline  # deferred: it imports scipy.optimize
         spline = CubicSpline(r, q, extrapolate=False)
         r_lo, r_hi = float(r[0]), float(r[-1])
         q_lo = float(q[0])
@@ -123,7 +122,8 @@ class SampledPotential:
 
     @classmethod
     def from_profile(cls, profile: PotentialProfile) -> "SampledPotential":
-        label = f"reconstruction(S={list(profile.ells)}, T={[round(v, 6) for v in profile.Ls]})"
+        ells = ", ".join(f"{e:g}" for e in profile.ells)
+        label = f"reconstruction(S=[{ells}], T={[round(float(v), 6) for v in profile.Ls]})"
         return cls.from_arrays(profile.r, profile.q, profile.tail, label)
 
     def __call__(self, r):
@@ -150,9 +150,7 @@ def integrate_regular(pot, ell: int, grid: RadialGrid) -> np.ndarray:
     history is rescaled in place and propagation continues; the returned
     samples are then uniformly scaled, which leaves phases untouched.
     """
-    if ell < 0 or int(ell) != ell:
-        raise DomainError("ell must be a non-negative integer")
-    ell = int(ell)
+    ell = _as_channel(ell)
     r = grid.r
     if len(r) < 8:
         raise DomainError("grid too short to integrate")
@@ -187,16 +185,19 @@ def integrate_regular(pot, ell: int, grid: RadialGrid) -> np.ndarray:
     return phi
 
 
-class PhaseExtraction(NamedTuple):
-    """Least-squares asymptotic match phi ~ b sin(r - ell pi/2 + delta)."""
+@dataclass(frozen=True)
+class PhaseRow:
+    """One phase-table entry; error is None when extraction succeeded."""
 
-    delta: float
-    b_norm: float
-    residual: float
+    ell: int
+    delta: float | None
+    b_norm: float | None
+    residual: float | None
+    error: str | None = None
 
 
-def extract_phase(r: np.ndarray, wave: np.ndarray, ell: int) -> PhaseExtraction:
-    """Fit the free-solution pair over a window and read off the phase.
+def extract_phase(r: np.ndarray, wave: np.ndarray, ell: int) -> PhaseRow:
+    """Fit phi ~ b sin(r - ell pi/2 + delta) over a window: the phase-table row.
 
     Beyond the potential the wave is exactly p u_ell(r) - m v_ell(r) with
     p = B cos delta, m = B sin delta, so the fit basis is (u_ell, -v_ell)
@@ -228,18 +229,7 @@ def extract_phase(r: np.ndarray, wave: np.ndarray, ell: int) -> PhaseExtraction:
         raise WindowTooSmallError(
             f"asymptotic fit residual {resid:.3g} exceeds 1e-3 |b| = {1e-3 * abs(b):.3g}"
         )
-    return PhaseExtraction(delta, b, resid)
-
-
-@dataclass(frozen=True)
-class PhaseRow:
-    """One phase-table entry; error is None when extraction succeeded."""
-
-    ell: int
-    delta: float | None
-    b_norm: float | None
-    residual: float | None
-    error: str | None = None
+    return PhaseRow(ell, delta, b, resid)
 
 
 @dataclass
@@ -269,8 +259,7 @@ def phase_table(pot, ells: Sequence[int], grid: RadialGrid) -> PhaseShiftTable:
     for ell in ells:
         try:
             wave = integrate_regular(pot, int(ell), grid)
-            ext = extract_phase(grid.r, wave, int(ell))
-            rows.append(PhaseRow(int(ell), ext.delta, ext.b_norm, ext.residual))
+            rows.append(extract_phase(grid.r, wave, int(ell)))
         except (DomainError, WindowTooSmallError) as exc:
             rows.append(PhaseRow(int(ell), None, None, None, f"{type(exc).__name__}: {exc}"))
     return PhaseShiftTable(pot.describe(), rows)

@@ -30,7 +30,6 @@ __all__ = [
     "TailFit",
     "PotentialProfile",
     "glm_matrix",
-    "fredholm_det",
     "det_and_scale",
     "solve_kernel",
     "potential",
@@ -114,12 +113,6 @@ def det_and_scale(s, t, r):
     if np.isscalar(r) or np.asarray(r).ndim == 0:
         return float(det[0]), float(scale[0])
     return det, scale
-
-
-def fredholm_det(s, t, r):
-    """Fredholm determinant D(r) of the kernel equation (scalar or array)."""
-    det, _ = det_and_scale(s, t, r)
-    return det
 
 
 @dataclass
@@ -215,10 +208,8 @@ def _extrapolate_origin(r: np.ndarray, q: np.ndarray) -> float:
     return float(coef[0])
 
 
-def _kernel_for(s, t, grid: RadialGrid, kernel: KernelSolution | None) -> KernelSolution:
-    """`kernel` checked to belong to (S, T) on `grid`, or a fresh solve when None."""
-    if kernel is None:
-        return solve_kernel(s, t, grid)
+def _check_kernel(s, t, grid: RadialGrid, kernel: KernelSolution) -> None:
+    """`kernel` must be the solve_kernel(s, t, grid) solution: same grid, S and T."""
     ells, Ls = _as_pair(s, t)
     if (
         (kernel.grid.h, kernel.grid.n) != (grid.h, grid.n)
@@ -226,27 +217,26 @@ def _kernel_for(s, t, grid: RadialGrid, kernel: KernelSolution | None) -> Kernel
         or kernel.Ls != tuple(Ls)
     ):
         raise DomainError("kernel was solved for another grid or another (S, T)")
-    return kernel
 
 
-def potential(s, t, grid: RadialGrid, kernel: KernelSolution | None = None) -> PotentialProfile:
-    """Reconstruct q(r) = -(2/r) d/dr [K(r,r)/r] on the grid.
+def potential(s, t, grid: RadialGrid, kernel: KernelSolution) -> PotentialProfile:
+    """Reconstruct q(r) = -(2/r) d/dr [K(r,r)/r] on the grid from the kernel.
 
     The tail of K(r, r) is fitted over the last quarter of the grid; the
     fit is omitted (tail = None) when that window spans less than two
     oscillation periods.  q(0) is reported by quadratic extrapolation of
     the innermost samples (the potential starts with zero slope).
     """
-    sol = _kernel_for(s, t, grid, kernel)
+    _check_kernel(s, t, grid, kernel)
     r = grid.r
-    q = -2.0 * sol.k_prime / r**2 + 2.0 * sol.k_diag / r**3
-    tail = _fit_tail(r, sol.k_diag)
+    q = -2.0 * kernel.k_prime / r**2 + 2.0 * kernel.k_diag / r**3
+    tail = _fit_tail(r, kernel.k_diag)
     return PotentialProfile(
-        r, q, sol.ells, sol.Ls, tail, grid.h, float(r[-1]), _extrapolate_origin(r, q)
+        r, q, kernel.ells, kernel.Ls, tail, grid.h, float(r[-1]), _extrapolate_origin(r, q)
     )
 
 
-def transformed_wave(s, t, ell: float, grid: RadialGrid, kernel: KernelSolution | None = None) -> np.ndarray:
+def transformed_wave(s, t, ell: float, grid: RadialGrid, kernel: KernelSolution) -> np.ndarray:
     """Regular solution of the reconstructed potential at angular momentum ell.
 
     phi_ell = u_ell - sum_L A_L (u_L u_ell' - u_L' u_ell)
@@ -255,7 +245,7 @@ def transformed_wave(s, t, ell: float, grid: RadialGrid, kernel: KernelSolution 
     Exact by construction: asymptotically B_ell sin(r - ell pi/2 + delta_ell)
     when ell is in S.
     """
-    kernel = _kernel_for(s, t, grid, kernel)
+    _check_kernel(s, t, grid, kernel)
     ue, due = _riccati_half(float(ell), grid.r, True)
     den = _ll1(float(ell)) - _ll1(np.asarray(kernel.Ls))
     if np.min(np.abs(den)) < 1e-12:

@@ -75,6 +75,11 @@ def _as_positive_array(x, name: str) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
+def _check_order(nu: float) -> None:
+    if not math.isfinite(nu) or nu < 0.0:
+        raise DomainError("order nu must be finite and >= 0")
+
+
 def bessel_jy(nu: float, x):
     """Evaluate J_nu, Y_nu and their derivatives at x > 0.
 
@@ -100,8 +105,7 @@ def bessel_jy(nu: float, x):
         origin at large order overflows double precision long before x
         reaches 0).
     """
-    if not math.isfinite(nu) or nu < 0.0:
-        raise DomainError("order nu must be finite and >= 0")
+    _check_order(nu)
     arr, scalar = _as_positive_array(x, "x")
     j = special.jv(nu, arr)
     y = special.yv(nu, arr)
@@ -193,8 +197,7 @@ def positive_zeros(kind: str, nu: float, count: int) -> np.ndarray:
     """
     if kind not in ZERO_KINDS:
         raise DomainError(f"unknown zero kind {kind!r}; expected one of {ZERO_KINDS}")
-    if not math.isfinite(nu) or nu < 0.0:
-        raise DomainError("order nu must be finite and >= 0")
+    _check_order(nu)
     if count < 1:
         raise DomainError("count must be >= 1")
 
@@ -269,8 +272,7 @@ def interlacing_check(nu: float, eps: float, depth: int = 10) -> InterlacingResu
     For nu = 0 the chain uses the classical count in which x = 0 is the
     first zero of J_0', so j'_{0,1} = 0 there.
     """
-    if not math.isfinite(nu) or nu < 0.0:
-        raise DomainError("order nu must be finite and >= 0")
+    _check_order(nu)
     if not math.isfinite(eps) or eps <= 0.0:
         raise DomainError("shift eps must be finite and > 0")
     if depth < 2:

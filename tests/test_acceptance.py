@@ -227,7 +227,7 @@ def test_criterion_08_determinant_zero_divergence():
         # grids anchored so the last node sits half a step below rstar
         h = rstar / (m + 0.5)
         grid = RadialGrid(h, (m + 0.25) * h)
-        prof = potential((0,), t, grid)
+        prof = potential((0,), t, grid, solve_kernel((0,), t, grid))
         return float(np.trapezoid(np.abs(prof.q) * grid.r, grid.r))
 
     stages = (122, 490, 1962)  # two successive 4x refinements

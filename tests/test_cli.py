@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,7 +205,7 @@ def test_negative_ellmax_or_infinite_phase_is_usage_error(argv, message, capsys,
     [
         ("big.cfg", "scan_resolution = 1000\n",
          ["--config", "big.cfg", "map", "--ells", "0,1", "--box=0.2,0.6,0.2,0.6", "--res", "0.2"],
-         "scan radius r_max must be finite and exceed the scan resolution"),
+         "scan resolution must be below the default scan radius 700"),
         ("nan.csv", "r,q\n0.1,-1\n0.2,nan\n0.3,-0.9\n0.4,-0.8\n",
          ["forward", "--potential", "nan.csv", "--ellmax", "1"], "potential samples must be finite"),
         ("inf.csv", "r,q\n0.1,-1\n0.2,-0.95\n0.3,-0.9\ninf,-0.8\n",
@@ -341,7 +344,7 @@ def test_invert_zero_phases_sentinel(tmp_path, capsys):
     assert rep["zero_potential"] is True
     assert rep["chosen_T"] is None
     assert rep["moment_closed_form"] == 0.0
-    r, q, tail, _meta = cli.read_potential_csv(str(out_csv))
+    r, q, tail = cli.read_potential_csv(str(out_csv))
     assert float(max(abs(q))) == 0.0
     assert tail is not None and tail.alpha == 0.0
 
@@ -744,6 +747,20 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "line 1" in err and "bogus" in err
+
+
+def test_cli_import_leaves_optimize_and_interpolate_unloaded():
+    # brentq loads on the first determinant sign change, CubicSpline with a sampled potential
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, ctinv.cli; print([m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------- specfun

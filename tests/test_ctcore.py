@@ -53,6 +53,9 @@ def test_input_set_validation():
         InputSet((), ())
     with pytest.raises(DomainError):
         InputSet((0,), (math.inf,))
+    for ell in (math.inf, math.nan):  # checked before int(), which raises OverflowError/ValueError
+        with pytest.raises(DomainError):
+            InputSet((ell,), (0.1,))
     s = InputSet((0,), (0.2 * math.pi + math.pi,))
     assert s.deltas[0] == pytest.approx(0.2 * math.pi)
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ctinv.ctcore import reduce_phase
+from ctinv.ctcore import one_shift_phase_formula, reduce_phase
 from ctinv.errors import DomainError, WindowTooSmallError
 from ctinv.forward import (
     SampledPotential,
@@ -150,6 +150,21 @@ def test_phase_table_takes_a_range_of_ells():
     assert [row.ell for row in tab.rows] == [0, 1, 2]
     for row in tab.rows:
         assert abs(row.delta) < 1e-8
+
+
+@pytest.mark.parametrize("ell", [-1, 1.5, math.inf, math.nan])
+def test_channel_must_be_a_non_negative_integer(ell):
+    # inf and nan are refused before int(), which raises OverflowError/ValueError
+    with pytest.raises(DomainError, match="ell must be a non-negative integer"):
+        integrate_regular(ZERO_POT, ell, RadialGrid(0.01, 1.0))
+    with pytest.raises(DomainError, match="ell must be a non-negative integer"):
+        one_shift_phase_formula(-0.4, ell, 0.3)
+
+
+def test_reconstruction_label_prints_plain_numbers(ref1_profile):
+    # the profile stores numpy scalars, whose NumPy 2 repr is np.float64(...)
+    label = SampledPotential.from_profile(ref1_profile).describe()
+    assert label == "reconstruction(S=[0], T=[-0.4])"
 
 
 @pytest.mark.parametrize("params", [(1.0, 1.0, math.nan), (math.nan, 1.0, 0.4), (1.0, math.inf, 0.4)])

@@ -17,7 +17,6 @@ from ctinv.forward import extract_phase
 from ctinv.glm import (
     RadialGrid,
     det_and_scale,
-    fredholm_det,
     glm_matrix,
     kernel_diag_series,
     moment_numeric,
@@ -90,7 +89,7 @@ def test_fredholm_det_1d_integral_rep_absolute():
 
     for r in (1.0, 4.0, 12.0):
         val, _ = integrate.quad(integrand, 0.0, r, limit=400, epsabs=1e-13, epsrel=1e-13)
-        assert abs(val - fredholm_det((ell,), (big_l,), np.array([r]))[0]) < 1e-7
+        assert abs(val - det_and_scale((ell,), (big_l,), np.array([r]))[0][0]) < 1e-7
 
 
 def test_fredholm_det_1d_integral_rep_difference():
@@ -102,7 +101,7 @@ def test_fredholm_det_1d_integral_rep_difference():
 
     r0, r1 = 0.5, 6.0
     val, _ = integrate.quad(integrand, r0, r1, limit=400, epsabs=1e-13, epsrel=1e-13)
-    d = fredholm_det((ell,), (big_l,), np.array([r0, r1]))
+    d = det_and_scale((ell,), (big_l,), np.array([r0, r1]))[0]
     assert abs(val - (d[1] - d[0])) < 1e-10
 
 
@@ -123,16 +122,16 @@ def test_fredholm_det_2d_integral_rep():
     for r in (1.0, 5.0, 20.0):
         m = np.array([[entry(L, ell, r) for L in T] for ell in S])
         dq = float(np.linalg.det(m))
-        dp = fredholm_det(S, T, np.array([r]))[0]
+        dp = det_and_scale(S, T, np.array([r]))[0][0]
         assert abs(dq - dp) < 1e-6
 
 
 def test_fredholm_det_sign_change_cases():
     r = np.arange(0.05, 50.0, 0.05)
-    d_bad = fredholm_det((0,), (2.0,), r)
+    d_bad = det_and_scale((0,), (2.0,), r)[0]
     assert np.any(np.sign(d_bad[:-1]) != np.sign(d_bad[1:]))
     r_long = np.arange(0.05, 1000.0, 0.05)
-    d_ok = fredholm_det((0,), (-0.4,), r_long)
+    d_ok = det_and_scale((0,), (-0.4,), r_long)[0]
     assert np.all(np.sign(d_ok) == np.sign(d_ok[0]))
 
 
@@ -185,7 +184,8 @@ def test_moment_numeric_matches_closed_form(ref1_input, ref1_profile):
 
 def test_moment_numeric_refuses_short_grid(ref1_input):
     # last-quarter window below two oscillation periods -> no tail fit
-    prof = potential(ref1_input, REF1_T, RadialGrid(0.01, 40.0))
+    grid = RadialGrid(0.01, 40.0)
+    prof = potential(ref1_input, REF1_T, grid, solve_kernel(ref1_input, REF1_T, grid))
     assert prof.tail is None
     with pytest.raises(TailFitError):
         moment_numeric(prof)
@@ -196,7 +196,7 @@ def test_potential_vanishes_in_T_to_S_limit():
     grid = RadialGrid(0.01, 30.0)
     sup = []
     for eps in (0.02, 0.01):
-        prof = potential(s, (eps,), grid)
+        prof = potential(s, (eps,), grid, solve_kernel(s, (eps,), grid))
         sup.append(float(np.max(np.abs(prof.q))))
     assert sup[1] < sup[0]
     assert sup[1] / sup[0] == pytest.approx(0.5, abs=0.1)  # linear in eps
@@ -219,14 +219,6 @@ def test_glm_matrix_domain_errors(ref1_input):
         glm_matrix(ref1_input, REF1_T, 0.0)
     with pytest.raises(SingularConfigurationError):
         glm_matrix(ref1_input, (0.0,), 1.0)  # T collides with S
-
-
-def test_transformed_wave_same_with_or_without_kernel(ref2_input):
-    grid = RadialGrid(0.01, 30.0)
-    kernel = solve_kernel(ref2_input, REF2_T, grid)
-    for ell in (0.0, 1.0, 2.0):
-        fresh = transformed_wave(ref2_input, REF2_T, ell, grid)
-        assert np.array_equal(fresh, transformed_wave(ref2_input, REF2_T, ell, grid, kernel))
 
 
 def test_kernel_from_another_grid_or_T_is_refused(ref2_input):

@@ -42,6 +42,7 @@ PHASE_FILES = {
     "odd.txt": "1 0.3\n",
     "seeds2.cfg": "seeds_per_axis = 2\n",
     "bigscan.cfg": "scan_resolution = 1000\n",
+    "flags.cfg": "lambda_max = 50\nstep = 0.02\nmap_resolution = 0.25\nthreads = 2\n",
     "nan.csv": "r,q\n0.1,-1\n0.2,nan\n0.3,-0.9\n0.4,-0.8\n",
 }
 
@@ -83,6 +84,15 @@ COMMANDS = [
     # a scan step above every default scan radius
     ["--config", "bigscan.cfg", "map", "--ells", "0,1", "--box=0.2,0.6,0.2,0.6", "--res", "0.2",
      "--out", "map_bigscan.csv"],
+    # flags over the config: the lattice step and threads from flags.cfg, then --res;
+    # --lambda and --step over its lambda_max and step
+    ["--config", "flags.cfg", "map", "--ells", "0,1", "--box=0,1,0,1", "--out", "map_cfg.csv"],
+    ["--config", "flags.cfg", "map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.5",
+     "--out", "map_cfg_res.csv"],
+    ["--config", "flags.cfg", "invert", "--phases", "ref1.txt", "--lambda", "60", "--step", "0.01",
+     "--out", "flags_ref1.csv"],
+    ["--config", "flags.cfg", "forward", "--ws", "1,1,0.4", "--ellmax", "2", "--step", "0.01",
+     "--out", "flags_ws.csv"],
     ["specfun", "--nu", "1.7", "--x", "5.0"],
 ]
 
