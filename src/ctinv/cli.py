@@ -276,6 +276,15 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
     return profile
 
 
+def _closed_forms(s, t) -> dict:
+    """Report entries that S and T give in closed form: tail amplitudes and first moment."""
+    asym = asymptotic_data(s, t)
+    return {
+        "tail_closed_form": {"alpha": asym.alpha, "beta": asym.beta},
+        "moment_closed_form": moment_closed_form(s, t),
+    }
+
+
 def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
     """Shared by invert and roundtrip: returns (exit_code, report, profile)."""
     report: dict = {
@@ -287,6 +296,7 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
         seeds_per_axis=cfg.seeds_per_axis,
         k_range=cfg.k_range,
     )
+    report["zero_potential"] = solve.zero_potential
     if solve.zero_potential:
         grid = RadialGrid(cfg.step, cfg.lambda_max)
         profile = PotentialProfile(
@@ -299,47 +309,31 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
             float(grid.r[-1]),
             0.0,
         )
-        report.update(
-            zero_potential=True,
-            candidates=[],
-            chosen_T=None,
-            moment_closed_form=0.0,
-            moment_numeric=0.0,
-        )
-        if out:
-            write_potential_csv(out, profile, input_set)
-            report["out"] = out
-        return EXIT_OK, report, profile
-    report["zero_potential"] = False
-    if not solve.candidates:
-        finite = [x for x in solve.seed_residuals if math.isfinite(x)]
-        report.update(
-            candidates=[],
-            chosen_T=None,
-            seeds_tried=solve.seeds_tried,
-            best_seed_residual=min(finite) if finite else None,
-        )
-        return EXIT_NO_ADMISSIBLE, report, None
-    sel = select_physical(input_set, solve.candidates, resolution=cfg.scan_resolution)
-    report["candidates"] = [
-        {"T": list(cand.Ls), "cos_cond": cond, **_verdict_dict(verdict)}
-        for cand, cond, verdict in zip(solve.candidates, solve.cos_cond, sel.verdicts)
-    ]
-    report["ambiguous"] = sel.ambiguous
-    if not sel.admissible:
-        report["chosen_T"] = None
-        return (
-            EXIT_UNSETTLED if sel.unsettled else EXIT_NO_ADMISSIBLE,
-            report,
-            None,
-        )
-    chosen = sel.admissible[0]
-    report["chosen_T"] = list(chosen.Ls)
-    profile = _reconstruct(input_set.ells, chosen, cfg, input_set.deltas, report, "tail")
-    report["moment_closed_form"] = moment_closed_form(input_set, chosen)
-    asym = asymptotic_data(input_set, chosen)
-    report["tail_closed_form"] = {"alpha": asym.alpha, "beta": asym.beta}
-    report["expansion_coeffs"] = list(expansion_coeffs(input_set, chosen))
+        report.update(candidates=[], chosen_T=None, moment_closed_form=0.0, moment_numeric=0.0)
+    else:
+        if not solve.candidates:
+            finite = [x for x in solve.seed_residuals if math.isfinite(x)]
+            report.update(
+                candidates=[],
+                chosen_T=None,
+                seeds_tried=solve.seeds_tried,
+                best_seed_residual=min(finite) if finite else None,
+            )
+            return EXIT_NO_ADMISSIBLE, report, None
+        sel = select_physical(input_set, solve.candidates, resolution=cfg.scan_resolution)
+        report["candidates"] = [
+            {"T": list(cand.Ls), "cos_cond": cond, **_verdict_dict(verdict)}
+            for cand, cond, verdict in zip(solve.candidates, solve.cos_cond, sel.verdicts)
+        ]
+        report["ambiguous"] = sel.ambiguous
+        if not sel.admissible:
+            report["chosen_T"] = None
+            return EXIT_UNSETTLED if sel.unsettled else EXIT_NO_ADMISSIBLE, report, None
+        chosen = sel.admissible[0]
+        report["chosen_T"] = list(chosen.Ls)
+        profile = _reconstruct(input_set.ells, chosen, cfg, input_set.deltas, report, "tail")
+        report.update(_closed_forms(input_set, chosen))
+        report["expansion_coeffs"] = list(expansion_coeffs(input_set, chosen))
     if out:
         write_potential_csv(out, profile, input_set)
         report["out"] = out
@@ -475,9 +469,7 @@ def cmd_check(args) -> tuple[int, dict | None]:
     except CtinvError as exc:
         report["implied_phases"] = None
         report["phase_note"] = str(exc)
-    asym = asymptotic_data(ells, shifted)
-    report["tail_closed_form"] = {"alpha": asym.alpha, "beta": asym.beta}
-    report["moment_closed_form"] = moment_closed_form(ells, shifted)
+    report.update(_closed_forms(ells, shifted))
     report["moment_numeric"] = None
     report["sum_rules"] = None
     if verdict.admissible and verdict.settled:
@@ -525,13 +517,14 @@ _csv_floats = _csv_list(float, "numbers")
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reads '--T -0.3,0.9' as '--T=-0.3,0.9'.
 
-    argparse takes only '-N' and '-N.N' for negative numbers, not comma lists.
+    Any value that starts '-N' or '-.N' after a long flag is glued to it:
+    argparse itself takes only '-N' and '-N.N', not comma lists or exponents.
     """
 
     def parse_known_args(self, args=None, namespace=None):
         joined: list[str] = []
         for arg in sys.argv[1:] if args is None else args:
-            if joined and re.fullmatch(r"--[\w-]+", joined[-1]) and re.match(r"-\.?\d.*,", arg):
+            if joined and re.fullmatch(r"--[\w-]+", joined[-1]) and re.match(r"-\.?\d", arg):
                 joined[-1] += "=" + arg
             else:
                 joined.append(arg)
@@ -545,16 +538,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file (or set CTINV_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared between subcommands, each declared once
+    step = argparse.ArgumentParser(add_help=False)
+    step.add_argument("--step", type=float, help="grid step h")
+    inversion = argparse.ArgumentParser(add_help=False)
+    inversion.add_argument("--phases", required=True, help="file of 'ell delta' lines")
+    inversion.add_argument(
+        "--lambda", dest="lambda_max", type=float, help="outer radius of the grid"
+    )
+    inversion.add_argument("--k-range", dest="k_range", type=int, help="branch range for |S| = 1")
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--lambda", dest="lam", type=float, help="scan radius (per cell for map)")
 
-    p = sub.add_parser("invert", help="reconstruct a potential from phase shifts")
-    p.add_argument("--phases", required=True, help="file of 'ell delta' lines")
-    p.add_argument("--lambda", dest="lambda_max", type=float, help="outer radius of the grid")
-    p.add_argument("--step", type=float, help="grid step h")
-    p.add_argument("--k-range", dest="k_range", type=int, help="branch range for |S| = 1")
+    p = sub.add_parser(
+        "invert", parents=[inversion, step], help="reconstruct a potential from phase shifts"
+    )
     p.add_argument("--out", help="potential CSV path (default potential.csv)")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("forward", help="phase shifts of a given potential")
+    p = sub.add_parser("forward", parents=[step], help="phase shifts of a given potential")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--potential", help="potential CSV (r,q with # metadata)")
     group.add_argument(
@@ -564,19 +566,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="Woods-Saxon well parameters",
     )
     p.add_argument("--ellmax", required=True, type=int, help="compute ell = 0..ellmax")
-    p.add_argument("--step", type=float, help="grid step h")
     p.add_argument("--out", help="phases CSV path (default phases.csv)")
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("roundtrip", help="invert, re-solve forward, compare phases")
-    p.add_argument("--phases", required=True, help="file of 'ell delta' lines")
-    p.add_argument("--lambda", dest="lambda_max", type=float, help="outer radius of the grid")
-    p.add_argument("--step", type=float, help="grid step h")
-    p.add_argument("--k-range", dest="k_range", type=int)
+    p = sub.add_parser(
+        "roundtrip", parents=[inversion, step], help="invert, re-solve forward, compare phases"
+    )
     p.add_argument("--out", help="also write the reconstructed potential CSV here")
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("map", help="admissibility map over (L1, L2) for |S| = 2")
+    p = sub.add_parser("map", parents=[scan], help="admissibility map over (L1, L2) for |S| = 2")
     p.add_argument("--ells", required=True, type=_csv_ints, metavar="L1,L2")
     p.add_argument(
         "--box",
@@ -586,15 +585,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="rectangle [A,B] x [C,D] (default -0.5,6,-0.5,6)",
     )
     p.add_argument("--res", dest="map_resolution", type=float, help="lattice resolution (default 0.02)")
-    p.add_argument("--threads", type=int, help="worker threads")
-    p.add_argument("--lambda", dest="lam", type=float, help="scan radius per cell")
+    p.add_argument("--threads", type=int, help="worker threads (>= 1)")
     p.add_argument("--out", help="map CSV path (default map.csv)")
     p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("check", help="scan one explicit (S, T) pair")
+    p = sub.add_parser("check", parents=[scan], help="scan one explicit (S, T) pair")
     p.add_argument("--ells", required=True, type=_csv_floats)
     p.add_argument("--T", required=True, type=_csv_floats)
-    p.add_argument("--lambda", dest="lam", type=float, help="scan radius")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("specfun", help="evaluate the special functions (debug)")

@@ -76,13 +76,20 @@ def default_scan_radius(s, t) -> float:
 
 
 def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
-    """Scan step finite, > 0 and below the radius: r_max, or `default` when r_max is None."""
+    """Scan step finite, > 0 and leaving a sample in the last 10% of the radius.
+
+    The radius is r_max, or `default` when r_max is None.
+    """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError("scan resolution must be finite and > 0")
     if r_max is None and resolution >= default:
         raise DomainError(f"scan resolution must be below the default scan radius {default:g}")
     if r_max is not None and not (math.isfinite(r_max) and r_max > resolution):
         raise DomainError("scan radius r_max must be finite and exceed the scan resolution")
+    radius = default if r_max is None else float(r_max)
+    # the settle window [0.9 R, R] needs a sample k * resolution; then each doubled range has one
+    if int(radius / resolution) * resolution < 0.9 * radius:
+        raise DomainError(f"scan radius {radius:g} leaves no scan step in its last 10%")
 
 
 def scan_zeros(
@@ -221,12 +228,14 @@ def admissibility_map(
     lattice only the upper triangle is computed and mirrored; otherwise
     every cell is scanned.  Per-cell failures are recorded in `errors` and
     leave the cell marked inadmissible rather than aborting the sweep; the
-    scan radius (MIN_SCAN_RADIUS, the smallest default, when r_max is None)
-    and resolution are checked once, before it.
+    scan radius (MIN_SCAN_RADIUS, the smallest default, when r_max is None),
+    the resolution and the thread count are checked once, before it.
     """
     ells_arr = _as_ells(s)
     if len(ells_arr) != 2:
         raise DomainError("the admissibility map is defined for |S| = 2")
+    if np.any(ells_arr != np.round(ells_arr)):
+        raise DomainError("the admissibility map needs integer angular momenta")
     ells = tuple(int(e) for e in ells_arr)
     a, b, c, d = (float(x) for x in box)
     if not (b > a and d > c and all(map(math.isfinite, (a, b, c, d)))):
@@ -234,6 +243,8 @@ def admissibility_map(
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError("resolution must be finite and > 0")
     _check_scan(r_max, scan_resolution, MIN_SCAN_RADIUS)
+    if threads < 1:
+        raise DomainError("threads must be >= 1")
     axis1 = np.arange(a, b + 0.5 * resolution, resolution)
     axis2 = np.arange(c, d + 0.5 * resolution, resolution)
     flags = np.zeros((len(axis1), len(axis2)), dtype=bool)
@@ -265,7 +276,7 @@ def admissibility_map(
         except Exception as exc:  # recorded per cell, sweep continues
             return i, j, False, f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(work, cells))
     for i, j, ok, err in results:
         flags[i, j] = ok

@@ -448,10 +448,9 @@ class AsymptoticData:
     """Tail data of the kernel coefficient functions A_L -> a_L cos r + b_L sin r.
 
     alpha and beta are the coefficients of sin 2r and cos 2r in the large-r
-    diagonal kernel; aligned with the sorted Ls they were computed from.
+    diagonal kernel; a and b are aligned with the sorted Ls of T.
     """
 
-    Ls: tuple[float, ...]
     a: np.ndarray
     b: np.ndarray
     alpha: float
@@ -475,7 +474,7 @@ def asymptotic_data(s, t) -> AsymptoticData:
     sl = np.sin(half_pi * Ls)
     alpha = 0.5 * float(np.sum(a * cl - b * sl))
     beta = -0.5 * float(np.sum(a * sl + b * cl))
-    return AsymptoticData(tuple(Ls), a, b, alpha, beta)
+    return AsymptoticData(a, b, alpha, beta)
 
 
 class SumRules(NamedTuple):
@@ -486,13 +485,11 @@ class SumRules(NamedTuple):
     coeff_sum: float
 
 
-def sum_rules(s, t, deltas, b_factors=None) -> SumRules:
+def sum_rules(s, t, deltas, b_factors) -> SumRules:
     """Evaluate sum_ell (-1)^ell c_ell B_ell {cos, sin} delta_ell and sum c_ell.
 
-    The first two need the asymptotic normalisations B_ell.  When b_factors
-    is None and S is single-parity the normalisations are implied:
-    B_ell cos delta_ell = 1 (all even) or B_ell sin delta_ell = 1 (all odd).
-    Mixed parity without explicit B raises InsufficientDataError.
+    b_factors are the measured asymptotic normalisations B_ell, one per
+    element of S.
     """
     ells = _as_ells(s)
     if np.any(np.abs(ells - np.round(ells)) > 0):
@@ -501,20 +498,7 @@ def sum_rules(s, t, deltas, b_factors=None) -> SumRules:
     d = np.asarray(list(deltas), dtype=float)
     if d.shape != ells.shape:
         raise DomainError("need one phase shift per element of S")
-    if b_factors is None:
-        parities = {int(round(e)) % 2 for e in ells}
-        if len(parities) != 1:
-            raise InsufficientDataError(
-                "B_ell factors are required for mixed-parity sum rules"
-            )
-        proj = np.cos(d) if parities == {0} else np.sin(d)
-        if np.any(np.abs(proj) < 1e-12):
-            raise InsufficientDataError(
-                "implied B_ell diverges for these phases; supply explicit B"
-            )
-        b = 1.0 / proj
-    else:
-        b = np.asarray(list(b_factors), dtype=float)
+    b = np.asarray(list(b_factors), dtype=float)
     if b.shape != ells.shape:
         raise InsufficientDataError("need one B_ell per element of S")
     sign = np.where(np.round(ells).astype(int) % 2 == 0, 1.0, -1.0)

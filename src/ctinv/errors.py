@@ -71,12 +71,9 @@ class InsufficientDataError(CtinvError, ValueError):
 class ParseError(CtinvError, ValueError):
     """A user-supplied file could not be parsed.
 
-    Attributes
-    ----------
-    line : int or None
-        1-based line number of the offending line, when known.
+    `line`, when given, is the 1-based number of the offending line; the
+    message then starts "line N:".
     """
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line

@@ -121,6 +121,7 @@ def test_invert_and_check_share_reconstruction(tmp_path, capsys):
         ["check", "--ells", "-1,0", "--T", "0.5,2"],
         ["map", "--ells", "0,1", "--box", "-0.4,-0.2,0.85,0.95"],
         ["forward", "--ws", "-1,1,0.4", "--ellmax", "2"],
+        ["check", "--ells", "0", "--T", "-1e-1"],
     ],
 )
 def test_list_values_may_start_with_minus(argv):
@@ -152,6 +153,16 @@ def test_check_collision_exit_1(capsys):
          "scan radius r_max must be finite"),
         (["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1", "--lambda", "nan"],
          "scan radius r_max must be finite"),
+        (["check", "--ells", "0", "--T", "0.5", "--lambda", "0.06"],
+         "scan radius 0.06 leaves no scan step in its last 10%"),
+        (["check", "--ells", "0", "--T", "0.5", "--lambda", "0.3"],
+         "scan radius 0.3 leaves no scan step in its last 10%"),
+        (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.2", "--lambda", "0.06"],
+         "scan radius 0.06 leaves no scan step in its last 10%"),
+        (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.5", "--threads", "0"],
+         "threads must be >= 1"),
+        (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.5", "--threads", "-3"],
+         "threads must be >= 1"),
         (["forward", "--ws", "1,1,nan", "--ellmax", "2"], "Woods-Saxon parameters must be finite"),
         (["forward", "--ws", "nan,1,0.4", "--ellmax", "2"], "Woods-Saxon parameters must be finite"),
     ],
@@ -210,8 +221,20 @@ def test_negative_ellmax_or_infinite_phase_is_usage_error(argv, message, capsys,
          ["forward", "--potential", "nan.csv", "--ellmax", "1"], "potential samples must be finite"),
         ("inf.csv", "r,q\n0.1,-1\n0.2,-0.95\n0.3,-0.9\ninf,-0.8\n",
          ["forward", "--potential", "inf.csv", "--ellmax", "1"], "potential samples must be finite"),
+        ("s400.cfg", "scan_resolution = 400\n",
+         ["--config", "s400.cfg", "map", "--ells", "0,1", "--box=0.2,0.6,0.2,0.6", "--res", "0.2"],
+         "scan radius 700 leaves no scan step in its last 10%"),
+        ("t0.cfg", "threads = 0\n",
+         ["--config", "t0.cfg", "map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.5"],
+         "threads must be >= 1"),
     ],
-    ids=["map_scan_step_above_default_radius", "nan_potential_sample", "inf_potential_radius"],
+    ids=[
+        "map_scan_step_above_default_radius",
+        "nan_potential_sample",
+        "inf_potential_radius",
+        "map_scan_step_near_default_radius",
+        "map_zero_threads_in_config",
+    ],
 )
 def test_out_of_range_input_file_is_one_line_exit_1(name, text, argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -569,7 +592,7 @@ def test_map_contains_reference_cell(tmp_path, capsys):
 
 def test_map_thread_count_does_not_change_output(tmp_path, capsys):
     blobs = []
-    for tag, threads in (("a", "1"), ("b", "2"), ("c", "0")):
+    for tag, threads in (("a", "1"), ("b", "2"), ("c", "3")):
         out_csv = tmp_path / f"map_{tag}.csv"
         code, _, _ = _run(
             capsys,

@@ -154,6 +154,19 @@ def test_map_requires_two_channels():
 
 
 @pytest.mark.parametrize(
+    "ells, threads, message",
+    [
+        ((0.5, 1.5), 1, "the admissibility map needs integer angular momenta"),
+        ((0, 1), 0, "threads must be >= 1"),
+        ((0, 1), -3, "threads must be >= 1"),
+    ],
+)
+def test_map_refuses_non_integer_S_and_threads_below_one(ells, threads, message):
+    with pytest.raises(DomainError, match=message):
+        admissibility_map(ells, (0.0, 1.0, 0.0, 1.0), resolution=0.5, threads=threads)
+
+
+@pytest.mark.parametrize(
     "ells, Ls, error",
     [
         ((0, 0), (0.5, 1.5), SingularConfigurationError),
@@ -189,7 +202,16 @@ def test_map_lattice_must_be_finite(box, resolution):
 
 @pytest.mark.parametrize(
     "r_max, resolution",
-    [(float("nan"), 0.05), (float("inf"), 0.05), (0.01, 0.05), (60.0, float("nan"))],
+    [
+        (float("nan"), 0.05),
+        (float("inf"), 0.05),
+        (0.01, 0.05),
+        (60.0, float("nan")),
+        # no scan sample in the settle window [0.9 r_max, r_max]
+        (0.06, 0.05),
+        (0.3, 0.05),
+        (None, 400.0),
+    ],
 )
 def test_scan_radius_and_resolution_must_be_finite(r_max, resolution):
     with pytest.raises(DomainError):

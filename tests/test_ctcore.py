@@ -26,7 +26,6 @@ from ctinv.ctcore import (
 from ctinv.errors import (
     DomainError,
     IllConditionedWarning,
-    InsufficientDataError,
     InternalInconsistencyError,
     SingularConfigurationError,
 )
@@ -195,10 +194,10 @@ def test_asymptotic_parity():
 
 
 def test_sum_rules_match_asymptotics_single_even():
-    # with the even-parity normalisation the residuals are closed forms
+    # with the even-parity normalisation B cos(delta) = 1 the residuals are closed forms
     s = InputSet((0,), (0.2 * math.pi,))
     t = (-0.4,)
-    rules = sum_rules(s, t, s.deltas)
+    rules = sum_rules(s, t, s.deltas, 1.0 / np.cos(s.deltas))
     d = asymptotic_data(s, t)
     assert rules.coeff_sum == pytest.approx(0.24, abs=1e-14)
     assert rules.residual_cos == pytest.approx(-2 * d.alpha, abs=1e-12)
@@ -227,23 +226,21 @@ def test_sum_rules_vanish_at_searched_configuration():
     assert abs(d.alpha) < 1e-12
     assert abs(d.beta) < 1e-12
     deltas = phases_from_T(s, t_star)
-    rules = sum_rules(InputSet((0, 4), tuple(deltas)), t_star, deltas)
+    rules = sum_rules(InputSet((0, 4), tuple(deltas)), t_star, deltas, 1.0 / np.cos(deltas))
     assert abs(rules.residual_cos) < 1e-8
     assert abs(rules.residual_sin) < 1e-8
 
 
 def test_sum_rules_even_parity_sign_pattern():
-    # all-even S: residual_cos is exactly sum c_ell under the implied B
+    # all-even S: residual_cos is exactly sum c_ell under B cos(delta) = 1
     s = InputSet((0, 2), (0.3, 0.1))
     t = (0.35, 1.9)
-    rules = sum_rules(s, t, s.deltas)
+    rules = sum_rules(s, t, s.deltas, 1.0 / np.cos(s.deltas))
     assert rules.residual_cos == pytest.approx(rules.coeff_sum, rel=1e-12)
 
 
 def test_sum_rules_need_b_for_mixed_parity():
     s = InputSet((0, 1), (0.3, 0.1))
-    with pytest.raises(InsufficientDataError):
-        sum_rules(s, (0.4, 1.5), s.deltas)
     out = sum_rules(s, (0.4, 1.5), s.deltas, b_factors=(1.0, 1.0))
     assert math.isfinite(out.residual_cos)
 
