@@ -153,6 +153,8 @@ def test_check_collision_exit_1(capsys):
          "scan radius r_max must be finite"),
         (["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1", "--lambda", "nan"],
          "scan radius r_max must be finite"),
+        (["forward", "--ws", "1,1,nan", "--ellmax", "2"], "Woods-Saxon parameters must be finite"),
+        (["forward", "--ws", "nan,1,0.4", "--ellmax", "2"], "Woods-Saxon parameters must be finite"),
         (["check", "--ells", "0", "--T", "0.5", "--lambda", "0.06"],
          "scan radius 0.06 leaves no scan step in its last 10%"),
         (["check", "--ells", "0", "--T", "0.5", "--lambda", "0.3"],
@@ -163,8 +165,6 @@ def test_check_collision_exit_1(capsys):
          "threads must be >= 1"),
         (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.5", "--threads", "-3"],
          "threads must be >= 1"),
-        (["forward", "--ws", "1,1,nan", "--ellmax", "2"], "Woods-Saxon parameters must be finite"),
-        (["forward", "--ws", "nan,1,0.4", "--ellmax", "2"], "Woods-Saxon parameters must be finite"),
     ],
 )
 def test_bad_S_or_resolution_is_one_line_exit_1(argv, message, capsys, tmp_path):
