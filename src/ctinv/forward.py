@@ -37,7 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WoodsSaxon:
-    """Attractive Woods-Saxon well -depth / (1 + exp((r - radius)/diffuseness))."""
+    """Woods-Saxon well -depth / (1 + exp((r - radius)/diffuseness)).
+
+    A positive depth is an attractive well; a negative depth is a repulsive
+    barrier and is supported too (the integrator rescales the wave that
+    grows under it, and the phase fit scales its window).
+    """
 
     depth: float
     radius: float
@@ -146,9 +151,14 @@ def integrate_regular(pot, ell: int, grid: RadialGrid) -> np.ndarray:
     phi = r^{ell+1}/(2ell+1)!! [1 + (q0 - 1) r^2 / (2(2ell+3))], extended
     past any points where the centrifugal term makes h^2 f / 12 approach 1
     (the scheme's denominator would vanish there); after that Numerov's
-    method propagates.  If the amplitude ever exceeds 1e250 the whole
-    history is rescaled in place and propagation continues; the returned
-    samples are then uniformly scaled, which leaves phases untouched.
+    method propagates.  The recurrence w_{i+1} = 2 w_i - w_{i-1} +
+    h^2 f_i phi_i, phi_{i+1} = w_{i+1} / (1 - h^2 f_{i+1} / 12) runs over
+    Python floats (h^2 f and the denominators are precomputed as lists) and
+    is written back into the array once; each step does the same float
+    operations in the same order as an element-wise numpy loop would.  If
+    the amplitude ever exceeds 1e250 the whole history is rescaled by 1e-100
+    and propagation continues; the returned samples are then uniformly
+    scaled, which leaves phases untouched.
     """
     ell = _as_channel(ell)
     r = grid.r
@@ -170,18 +180,25 @@ def integrate_regular(pot, ell: int, grid: RadialGrid) -> np.ndarray:
     phi = np.empty_like(r)
     rs = r[:n_seed]
     phi[:n_seed] = rs ** (ell + 1) / norm * (1.0 + a2 * rs**2)
-    w_prev = (1.0 - h2 / 12.0 * f[n_seed - 2]) * phi[n_seed - 2]
-    w_cur = (1.0 - h2 / 12.0 * f[n_seed - 1]) * phi[n_seed - 1]
-    for i in range(n_seed - 1, len(r) - 1):
-        w_next = 2.0 * w_cur - w_prev + h2 * f[i] * phi[i]
-        phi_next = w_next / (1.0 - h2 / 12.0 * f[i + 1])
-        if abs(phi_next) > 1e250:
-            phi[: i + 1] *= 1e-100
+    hf = (h2 * f).tolist()
+    den = (1.0 - h2 / 12.0 * f).tolist()
+    p = float(phi[n_seed - 1])
+    w_prev = den[n_seed - 2] * float(phi[n_seed - 2])
+    w_cur = den[n_seed - 1] * p
+    out: list[float] = []
+    append = out.append
+    for a, d in zip(hf[n_seed - 1 : -1], den[n_seed:]):
+        w_next = 2.0 * w_cur - w_prev + a * p
+        p = w_next / d
+        if p > 1e250 or p < -1e250:  # abs(p) > 1e250 without the call
+            phi[:n_seed] *= 1e-100
+            out[:] = [v * 1e-100 for v in out]
             w_next *= 1e-100
             w_cur *= 1e-100
-            phi_next *= 1e-100
-        phi[i + 1] = phi_next
+            p *= 1e-100
+        append(p)
         w_prev, w_cur = w_cur, w_next
+    phi[n_seed:] = out
     return phi
 
 
@@ -220,11 +237,16 @@ def extract_phase(r: np.ndarray, wave: np.ndarray, ell: int) -> PhaseRow:
     u, _ = _riccati_half(float(ell), r[mask], True, deriv=False)
     v, _ = _riccati_half(float(ell), r[mask], False, deriv=False)
     basis = np.column_stack((u, -v))
-    coef, *_ = np.linalg.lstsq(basis, wave[mask], rcond=None)
+    # fit the window scaled by an exact power of two, so that squaring the
+    # misfit of a wave grown large under a barrier (up to the integrator's
+    # 1e250 rescale) cannot overflow; b and the residual are scaled back
+    _, e = math.frexp(float(np.max(np.abs(wave[mask]))))
+    window = np.ldexp(wave[mask], -e)
+    coef, *_ = np.linalg.lstsq(basis, window, rcond=None)
     a_sin, a_cos = float(coef[0]), float(coef[1])
     delta = reduce_phase(math.atan2(a_cos, a_sin))
-    b = a_sin * math.cos(delta) + a_cos * math.sin(delta)
-    resid = float(np.sqrt(np.mean((wave[mask] - basis @ coef) ** 2)))
+    b = math.ldexp(a_sin * math.cos(delta) + a_cos * math.sin(delta), e)
+    resid = math.ldexp(float(np.sqrt(np.mean((window - basis @ coef) ** 2))), e)
     if abs(b) == 0.0 or resid > 1e-3 * abs(b):
         raise WindowTooSmallError(
             f"asymptotic fit residual {resid:.3g} exceeds 1e-3 |b| = {1e-3 * abs(b):.3g}"

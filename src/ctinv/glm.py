@@ -22,7 +22,7 @@ import numpy as np
 
 from .ctcore import _as_pair, _ll1, expansion_coeffs
 from .errors import DomainError, InadmissibleConfigurationError, TailFitError
-from .specfun import _riccati_half
+from .specfun import _riccati_half, _riccati_halves
 
 __all__ = [
     "RadialGrid",
@@ -66,7 +66,7 @@ class RadialGrid:
 
 def _half_table(orders: np.ndarray, r: np.ndarray, regular: bool):
     """One Riccati half (u, u' or v, v') per order, stacked (len(orders), len(r))."""
-    halves = [_riccati_half(float(lam), r, regular) for lam in orders]
+    halves = _riccati_halves([float(lam) for lam in orders], r, regular)
     return np.array([h[0] for h in halves]), np.array([h[1] for h in halves])
 
 

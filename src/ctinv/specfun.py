@@ -126,28 +126,53 @@ def _require_finite(nu: float, arr: np.ndarray, *values) -> None:
             )
 
 
-def _riccati_half(lam: float, x, regular: bool, deriv: bool = True):
-    """One half of the Riccati pair: (u, u') from J or (v, v') from Y.
+def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
+    """One half of the Riccati pair per order: (u, u') from J or (v, v') from Y.
 
     The derivative is None when `deriv` is false, so callers that read
-    only values skip scipy's derivative formula (two more Bessel orders).
-    Only the values computed are checked for saturation.
+    only values skip the two neighbouring Bessel orders it needs.  Each
+    distinct order C_nu (J or Y) is evaluated once per call and shared
+    between the values and derivatives of all `lams`; the derivative is
+    scipy's own jvp/yvp expression (C_{nu-1} - C_{nu-1+2}) / 2, so the
+    result equals the jvp/yvp route bit for bit.  Only the values computed
+    are checked for saturation, order by order.
     """
-    if not math.isfinite(lam) or lam <= -0.5:
-        raise DomainError("order lam must be finite and > -1/2")
+    for lam in lams:
+        if not math.isfinite(lam) or lam <= -0.5:
+            raise DomainError("order lam must be finite and > -1/2")
     arr, scalar = _as_positive_array(x, "x")
-    nu = lam + 0.5
     factor = np.sqrt(0.5 * math.pi * arr)
-    c = (special.jv if regular else special.yv)(nu, arr)
-    _require_finite(nu, arr, c)
-    val, dval = factor * c, None
-    if deriv:
-        cp = (special.jvp if regular else special.yvp)(nu, arr)
-        _require_finite(nu, arr, cp)
-        dval = factor * (c / (2.0 * arr) + cp)
-    if scalar:
-        return float(val), (None if dval is None else float(dval))
-    return val, dval
+    fn = special.jv if regular else special.yv
+    memo: dict[float, np.ndarray] = {}  # keyed on the exact float order
+
+    def cyl(nu: float):
+        if nu not in memo:
+            memo[nu] = fn(nu, arr)
+        return memo[nu]
+
+    halves = []
+    for lam in lams:
+        nu = lam + 0.5
+        c = cyl(nu)
+        _require_finite(nu, arr, c)
+        val, dval = factor * c, None
+        if deriv:
+            # scipy's _bessel_diff_formula, operation for operation, so the bits match jvp/yvp
+            s = cyl(nu - 1.0).copy()
+            s += -1.0 * cyl(nu - 1.0 + 2.0)
+            cp = s / 2.0
+            _require_finite(nu, arr, cp)
+            dval = factor * (c / (2.0 * arr) + cp)
+        if scalar:
+            halves.append((float(val), None if dval is None else float(dval)))
+        else:
+            halves.append((val, dval))
+    return halves
+
+
+def _riccati_half(lam: float, x, regular: bool, deriv: bool = True):
+    """One half of the Riccati pair at a single order; see _riccati_halves."""
+    return _riccati_halves((lam,), x, regular, deriv)[0]
 
 
 def riccati(lam: float, x) -> FunctionPair:

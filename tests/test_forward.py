@@ -171,3 +171,77 @@ def test_reconstruction_label_prints_plain_numbers(ref1_profile):
 def test_woods_saxon_parameters_must_be_finite(params):
     with pytest.raises(DomainError):
         WoodsSaxon(*params)
+
+
+def _numpy_scalar_numerov(pot, ell, grid):
+    # the element-at-a-time numpy loop that integrate_regular replaced:
+    # the float-list recurrence must reproduce it bit for bit
+    r, h = grid.r, grid.h
+    q = np.asarray(pot(r), dtype=float)
+    f = ell * (ell + 1.0) / r**2 + q - 1.0
+    h2 = h * h
+    n_seed = 2
+    while n_seed < len(r) - 4 and abs(h2 * f[n_seed - 2] / 12.0) >= 0.3:
+        n_seed += 1
+    norm = math.prod(range(3, 2 * ell + 2, 2))
+    a2 = (q[0] - 1.0) / (2.0 * (2.0 * ell + 3.0))
+    phi = np.empty_like(r)
+    rs = r[:n_seed]
+    phi[:n_seed] = rs ** (ell + 1) / float(norm) * (1.0 + a2 * rs**2)
+    w_prev = (1.0 - h2 / 12.0 * f[n_seed - 2]) * phi[n_seed - 2]
+    w_cur = (1.0 - h2 / 12.0 * f[n_seed - 1]) * phi[n_seed - 1]
+    for i in range(n_seed - 1, len(r) - 1):
+        w_next = 2.0 * w_cur - w_prev + h2 * f[i] * phi[i]
+        phi_next = w_next / (1.0 - h2 / 12.0 * f[i + 1])
+        if abs(phi_next) > 1e250:
+            phi[: i + 1] *= 1e-100
+            w_next *= 1e-100
+            w_cur *= 1e-100
+            phi_next *= 1e-100
+        phi[i + 1] = phi_next
+        w_prev, w_cur = w_cur, w_next
+    return phi
+
+
+@pytest.mark.parametrize("ell", [0, 3, 8])
+def test_numerov_is_bit_identical_to_the_numpy_scalar_loop(ell):
+    grid = RadialGrid(0.005, 30.0)
+    pot = WoodsSaxon(1.0, 1.0, 0.4)
+    assert integrate_regular(pot, ell, grid).tobytes() == _numpy_scalar_numerov(pot, ell, grid).tobytes()
+
+
+def test_numerov_rescale_branch_is_bit_identical():
+    # a repulsive barrier grows phi past 1e250 inside the well: the history
+    # written so far, seeds included, is rescaled by 1e-100 at that step
+    grid = RadialGrid(0.005, 30.0)
+    pot = WoodsSaxon(-1e4, 6.0, 0.4)
+    phi = integrate_regular(pot, 0, grid)
+    assert abs(phi[0]) < 1e-90
+    assert phi.tobytes() == _numpy_scalar_numerov(pot, 0, grid).tobytes()
+
+
+def test_repulsive_barrier_phase_is_extracted():
+    # the wave leaves the barrier near 1e183; the fit scales the window by a
+    # power of two, so squaring the misfit cannot overflow
+    grid = RadialGrid(0.005, 60.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = phase_table(WoodsSaxon(-1e4, 6.0, 0.4), [0, 1], grid)
+    for row in tab.rows:
+        assert row.error is None
+        assert row.residual < 1e-10 * abs(row.b_norm)
+    assert tab.rows[0].delta == pytest.approx(0.1695, abs=1e-4)
+    assert abs(tab.rows[0].b_norm) > 1e180
+
+
+def test_extraction_scale_leaves_ordinary_fits_unchanged():
+    # the power-of-two scaling is exact: a wave and the same wave times 2^k
+    # give the same delta and b, residual scaled by exactly 2^k
+    grid = RadialGrid(0.005, 60.0)
+    phi = integrate_regular(WoodsSaxon(1.0, 1.0, 0.4), 1, grid)
+    base = extract_phase(grid.r, phi, 1)
+    for k in (-700, -3, 5, 600):
+        got = extract_phase(grid.r, np.ldexp(phi, k), 1)
+        assert got.delta == base.delta
+        assert got.b_norm == math.ldexp(base.b_norm, k)
+        assert got.residual == math.ldexp(base.residual, k)

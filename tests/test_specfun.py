@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from ctinv.errors import DomainError, SaturationError
 from ctinv.specfun import (
     _riccati_half,
+    _riccati_halves,
     bessel_jy,
     cross_wronskian,
     interlacing_check,
@@ -279,3 +280,38 @@ def test_regular_half_ignores_irregular_overflow():
         riccati(150.0, x)
     with pytest.raises(SaturationError):
         _riccati_half(150.0, x, False, deriv=False)
+
+
+@pytest.mark.parametrize("lams", [(0.0, 1.0, 2.0), (0.1944, 1.1944)])
+def test_shared_order_table_equals_per_order_halves(lams):
+    # orders 1 apart share their Bessel evaluations only where the floats are
+    # equal ((1.1944 + 0.5) - 1 is not the float 0.1944 + 0.5); either way
+    # each half equals its own one-order table and scipy's jvp/yvp route
+    x = np.linspace(0.005, 80.0, 4001)
+    factor = np.sqrt(0.5 * math.pi * x)
+    for regular, c, cp in ((True, special.jv, special.jvp), (False, special.yv, special.yvp)):
+        shared = _riccati_halves(lams, x, regular)
+        for lam, (val, dval) in zip(lams, shared):
+            one = _riccati_half(lam, x, regular)
+            nu = lam + 0.5
+            assert np.array_equal(val, one[0]) and np.array_equal(dval, one[1])
+            assert np.array_equal(val, factor * c(nu, x))
+            assert np.array_equal(dval, factor * (c(nu, x) / (2.0 * x) + cp(nu, x)))
+        for (val, none), lam in zip(_riccati_halves(lams, x, regular, deriv=False), lams):
+            assert none is None and np.array_equal(val, _riccati_half(lam, x, regular)[0])
+
+
+def test_saturation_message_names_the_table_order():
+    # the value check comes first, then the derivative's, order by order
+    near = np.linspace(0.005, 0.5, 100)
+    for deriv in (True, False):
+        with pytest.raises(SaturationError) as exc:
+            _riccati_halves((0.0, 150.0), near, False, deriv=deriv)
+        assert str(exc.value) == "Bessel value saturated at nu=150.5, x~0.005"
+    # Y_{150.5} is finite from x = 1.06 on, Y_{151.5} (in its derivative) not yet
+    edge = np.linspace(1.06, 10.0, 200)
+    with pytest.raises(SaturationError) as exc:
+        _riccati_half(150.0, edge, False)
+    assert str(exc.value) == "Bessel value saturated at nu=150.5, x~1.06"
+    val, none = _riccati_half(150.0, edge, False, deriv=False)
+    assert none is None and np.all(np.isfinite(val))

@@ -85,6 +85,9 @@ COMMANDS = [
     ["check", "--ells", "0", "--T", "0"],
     ["check", "--ells", "0,1", "--T=0.5,-0.2"],
     ["forward", "--ws", "1,1,0.4", "--ellmax", "8", "--out", "ws.csv"],
+    # a repulsive barrier: phi passes 1e250 inside it (the integrator's
+    # rescale branch) and leaves it near 1e183 (the scaled extraction fit)
+    ["forward", "--ws=-1e4,6,0.4", "--ellmax", "1", "--out", "ws_barrier.csv"],
     ["forward", "--potential", "ref1.csv", "--ellmax", "2", "--out", "ref1_phases.csv"],
     # every channel fails: the phase CSV holds only "# ell N failed" lines
     ["forward", "--potential", "short.csv", "--ellmax", "1", "--out", "short_phases.csv"],
