@@ -270,7 +270,16 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
                 for ell in ells
             ]
             rules = sum_rules(ells, shifted, phases, b_factors)
-            report["sum_rules"] = {**rules._asdict(), "b_factors": b_factors}
+            asym = asymptotic_data(ells, shifted)
+            target_cos, target_sin = -2.0 * asym.alpha, -2.0 * asym.beta
+            report["sum_rules"] = {
+                **rules._asdict(),
+                "b_factors": b_factors,
+                "target_cos": target_cos,
+                "target_sin": target_sin,
+                "gap_cos": rules.residual_cos - target_cos,
+                "gap_sin": rules.residual_sin - target_sin,
+            }
         except CtinvError as exc:
             report["sum_rule_note"] = str(exc)
     return profile
@@ -405,6 +414,7 @@ def cmd_roundtrip(args) -> tuple[int, dict | None]:
     for k, row in enumerate(table.rows):
         leak = int(k >= len(input_set))
         entry = {"ell": row.ell} if leak else {"ell": row.ell, "input": input_set.deltas[k]}
+        entry["residual"] = row.residual
         if row.delta is None:
             entry["error"] = f"no phase for ell={row.ell}: {row.error}"
             dev = math.inf
@@ -445,6 +455,7 @@ def cmd_map(args) -> tuple[int, dict | None]:
         "cells": int(amap.admissible.size),
         "admissible_cells": int(np.count_nonzero(amap.admissible)),
         "errors": [f"({i},{j}) {msg}" for i, j, msg in amap.errors],
+        "tables": amap.tables,
         "out": out,
     }
     return EXIT_OK, report

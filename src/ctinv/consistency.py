@@ -18,7 +18,8 @@ import numpy as np
 
 from .ctcore import InputSet, ShiftedSet, _as_Ls, _as_ells, _as_pair, _kappa
 from .errors import DomainError, InternalInconsistencyError
-from .glm import _det_scale, det_and_scale
+from .glm import _det_scale, _glm_stack, det_and_scale
+from .specfun import RiccatiTables
 
 __all__ = [
     "AdmissibilityVerdict",
@@ -36,6 +37,8 @@ DIP_TOL = 1e-10
 MAX_DOUBLINGS = 2
 SCAN_RESOLUTION = 0.05  # default sampling step of the determinant scan
 MIN_SCAN_RADIUS = 700.0  # floor of default_scan_radius
+SCAN_BLOCK = 4096  # samples of D(r) per determinant block: bounds the scan's temporaries
+MAP_TILE = 9  # lattice values per side of a map tile; its u_L tables go when it is done
 
 
 @dataclass(frozen=True)
@@ -92,33 +95,61 @@ def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
         raise DomainError(f"scan radius {radius:g} leaves no scan step in its last 10%")
 
 
+def _scan_det(ells, Ls, tables: RiccatiTables, n: int):
+    """D and its row-norm scale on the first n table points, SCAN_BLOCK rows at a time.
+
+    Each stacked determinant is computed on its own, so the blocks give the
+    numbers of one whole-grid evaluation bit for bit.
+    """
+    sides = tables.halves(Ls, True, n), tables.halves(ells, False, n)
+    det, scale = np.empty(n), np.empty(n)
+    for k in range(0, n, SCAN_BLOCK):
+        rows = slice(k, k + SCAN_BLOCK)
+        # uL, duL, vE, dvE of these rows, each stacked (orders, rows)
+        stacks = [np.array([h[part][rows] for h in side]) for side in sides for part in (0, 1)]
+        det[rows], scale[rows] = _det_scale(_glm_stack(ells, Ls, *stacks))
+    return det, scale
+
+
 def scan_zeros(
     s,
     t,
     r_max: float | None = None,
     resolution: float = SCAN_RESOLUTION,
+    tables: RiccatiTables | None = None,
 ) -> AdmissibilityVerdict:
     """Locate zeros of the Fredholm determinant on (0, r_max].
 
-    Samples D(r) on a uniform grid, brackets sign changes and refines them
-    with Brent's method; grid points where |D| drops below 1e-10 times the
-    row-norm scale count as (tangential) zeros too.  The scan is `settled`
-    when, over the last 10% of the range, D stays within 1e-4 of its final
-    sample and the sign of that sample agrees with the analytic
-    r -> infinity limit whenever the latter is numerically nonzero (a
-    disagreement proves a crossing beyond r_max).  An unsettled scan is
-    retried with the range doubled, at most MAX_DOUBLINGS times.
+    Samples D(r) on the grid r_k = k * resolution, brackets sign changes
+    and refines them with Brent's method; grid points where |D| drops below
+    1e-10 times the row-norm scale count as (tangential) zeros too.  The
+    scan is `settled` when, over the last 10% of the range, D stays within
+    1e-4 of its final sample and the sign of that sample agrees with the
+    analytic r -> infinity limit whenever the latter is numerically
+    nonzero (a disagreement proves a crossing beyond r_max).  An unsettled
+    scan is retried with the range doubled, at most MAX_DOUBLINGS times.
+
+    The Riccati tables come from `tables`, a RiccatiTables on the step
+    `resolution` that callers scanning many T share; without one the scan
+    builds its own.  A doubled range appends only its new points to each
+    table, and D is evaluated in blocks of SCAN_BLOCK samples, so the
+    scan's memory beyond the tables stays a few arrays of the grid length.
     """
     ells, Ls = _as_pair(s, t)
     radius = float(r_max) if r_max is not None else default_scan_radius(ells, Ls)
     _check_scan(r_max, resolution, radius)
+    if tables is None:
+        tables = RiccatiTables(resolution)
+    elif tables.step != resolution:
+        raise DomainError("Riccati tables were built on another scan step")
     # the matching matrix tends to -M_cos as r -> infinity
     det_inf, scale_inf = _det_scale(-_kappa(ells, Ls)[1])
 
     for attempt in range(MAX_DOUBLINGS + 1):
         span = radius * 2.0**attempt
-        rr = np.arange(1, int(span / resolution) + 1, dtype=float) * resolution
-        det, scale = det_and_scale(ells, Ls, rr)
+        n = int(span / resolution)
+        rr = np.arange(1, n + 1, dtype=float) * resolution
+        det, scale = _scan_det(ells, Ls, tables, n)
 
         zeros: list[float] = []
         sign_change = np.nonzero(det[:-1] * det[1:] < 0.0)[0]
@@ -173,13 +204,19 @@ def select_physical(
     is an iff, so disagreement means the scan failed).  `chosen` is set
     only when exactly one candidate is admissible; more than one sets
     `ambiguous` and callers must decide (all of them reproduce the data).
+
+    The scans share one RiccatiTables: the v_ell tables of S are built once
+    for all candidates, and a candidate's u_L tables are dropped when its
+    scan returns.
     """
     ells = _as_ells(input_set)
     verdicts: list[AdmissibilityVerdict] = []
     admissible: list[ShiftedSet] = []
     unsettled = False
+    tables = RiccatiTables(resolution)
     for cand in candidates:
-        verdict = scan_zeros(ells, cand, resolution=resolution)
+        verdict = scan_zeros(ells, cand, resolution=resolution, tables=tables)
+        tables.drop(cand.Ls, True)
         if len(ells) == 1 and verdict.settled:
             rule = admissible_1d(float(ells[0]), cand.Ls[0])
             if rule != verdict.admissible:
@@ -204,6 +241,7 @@ class AdmissibilityMap:
     axis2: np.ndarray
     admissible: np.ndarray  # bool, shape (len(axis1), len(axis2))
     errors: list[tuple[int, int, str]] = field(default_factory=list)
+    tables: dict[str, int] = field(default_factory=dict)  # RiccatiTables.counts() of the sweep
 
     def rows(self):
         """Yield (L1, L2, 0/1) in row-major order for CSV export."""
@@ -230,6 +268,13 @@ def admissibility_map(
     leave the cell marked inadmissible rather than aborting the sweep; the
     scan radius (MIN_SCAN_RADIUS, the smallest default, when r_max is None),
     the resolution and the thread count are checked once, before it.
+
+    All cells share one RiccatiTables: the v_ell tables of S are built once
+    per map, the u_L table of a lattice value once per tile.  The sweep
+    goes tile by tile, MAP_TILE lattice values a side, and drops a tile's
+    u_L tables when it is done, so at most 2 * MAP_TILE lattice tables plus
+    S are live, each as long as the longest scan that read it.  `tables`
+    holds the counts.
     """
     ells_arr = _as_ells(s)
     if len(ells_arr) != 2:
@@ -263,6 +308,8 @@ def admissibility_map(
         if valid(float(axis1[i]), float(axis2[j]))
     ]
 
+    tables = RiccatiTables(scan_resolution)
+
     def work(idx: tuple[int, int]):
         i, j = idx
         try:
@@ -271,18 +318,26 @@ def admissibility_map(
                 (float(axis1[i]), float(axis2[j])),
                 r_max=r_max,
                 resolution=scan_resolution,
+                tables=tables,
             )
             return i, j, bool(verdict.settled and verdict.admissible), None
         except Exception as exc:  # recorded per cell, sweep continues
             return i, j, False, f"{type(exc).__name__}: {exc}"
 
+    tiles: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j in cells:
+        tiles.setdefault((i // MAP_TILE, j // MAP_TILE), []).append((i, j))
+    results = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(work, cells))
-    for i, j, ok, err in results:
+        for tile in tiles.values():
+            results += pool.map(work, tile)
+            values = {float(axis1[i]) for i, _ in tile} | {float(axis2[j]) for _, j in tile}
+            tables.drop(values, True)
+    for i, j, ok, err in sorted(results, key=lambda res: res[:2]):
         flags[i, j] = ok
         if err is not None:
             errors.append((i, j, err))
 
     if square:
         flags |= flags.T
-    return AdmissibilityMap(ells, axis1, axis2, flags, errors)
+    return AdmissibilityMap(ells, axis1, axis2, flags, errors, tables.counts())

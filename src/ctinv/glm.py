@@ -77,10 +77,15 @@ def _matrices(ells: np.ndarray, Ls: np.ndarray, r: np.ndarray):
     """
     uL, duL = _half_table(Ls, r, True)
     vE, dvE = _half_table(ells, r, False)
+    return _glm_stack(ells, Ls, uL, duL, vE, dvE), uL, duL, vE, dvE
+
+
+def _glm_stack(ells, Ls, uL, duL, vE, dvE) -> np.ndarray:
+    """M(r_k) of shape (points, |S|, |T|) from half tables stacked (orders, points)."""
     den = _ll1(ells)[:, None] - _ll1(Ls)[None, :]
     # wron[k, i, j] = u_{L_j} v'_{ell_i} - u'_{L_j} v_{ell_i} at r_k
     wron = uL.T[:, None, :] * dvE.T[:, :, None] - duL.T[:, None, :] * vE.T[:, :, None]
-    return wron / den[None, :, :], uL, duL, vE, dvE
+    return wron / den[None, :, :]
 
 
 def glm_matrix(s, t, r: float) -> np.ndarray:

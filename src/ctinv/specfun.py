@@ -14,6 +14,7 @@ normalised so that the same-order Wronskian u v' - u' v equals 1.
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import BracketingError, DomainError, SaturationError
 __all__ = [
     "FunctionPair",
     "InterlacingResult",
+    "RiccatiTables",
     "bessel_jy",
     "riccati",
     "cross_wronskian",
@@ -173,6 +175,65 @@ def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
 def _riccati_half(lam: float, x, regular: bool, deriv: bool = True):
     """One half of the Riccati pair at a single order; see _riccati_halves."""
     return _riccati_halves((lam,), x, regular, deriv)[0]
+
+
+class RiccatiTables:
+    """Riccati halves on the grid x_k = k * step, k = 1..n, each table built once.
+
+    A table is keyed on its half (u, u' from J or v, v' from Y) and exact
+    order, and grows append-only: only points beyond those held are
+    evaluated, through _riccati_halves.  Its arithmetic is elementwise, so
+    the first n points equal _riccati_halves on the whole grid bit for bit.
+    Threads may share one instance: each table fills under its own lock,
+    so no fill runs twice and no table is replaced by a shorter one.
+    `counts()` gives the tables `filled` from empty, the `bessel_points`
+    evaluated (three orders per point) and the `most_live` at once.
+    """
+
+    def __init__(self, step: float):
+        self.step = float(step)  # checked by the callers: scans refuse a bad step
+        self._tables: dict[tuple[bool, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._locks: dict[tuple[bool, float], threading.Lock] = {}
+        self._guard = threading.Lock()  # the two dicts and the counts
+        self._counts = {"filled": 0, "bessel_points": 0, "most_live": 0}
+
+    def halves(self, lams, regular: bool, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(value, derivative) of each order on the first n grid points."""
+        return [self._half((regular, float(lam)), n) for lam in lams]
+
+    def _half(self, key: tuple[bool, float], n: int):
+        with self._guard:
+            lock = self._locks.setdefault(key, threading.Lock())
+        with lock:
+            with self._guard:
+                held = self._tables.get(key)
+            have = 0 if held is None else len(held[0])
+            if have < n:
+                x = np.arange(have + 1, n + 1, dtype=float) * self.step
+                new = _riccati_halves((key[1],), x, key[0])[0]
+                held = new if held is None else tuple(map(np.concatenate, zip(held, new)))
+                for arr in held:  # callers get views of the shared table
+                    arr.flags.writeable = False
+                with self._guard:
+                    self._tables[key] = held
+                    counts = self._counts
+                    counts["filled"] += have == 0
+                    counts["bessel_points"] += 3 * (n - have)
+                    counts["most_live"] = max(counts["most_live"], len(self._tables))
+        return held[0][:n], held[1][:n]
+
+    def drop(self, lams, regular: bool) -> None:
+        """Forget the tables of these orders; a later request builds them again.
+
+        Call it only for orders that no other thread is reading or filling.
+        """
+        with self._guard:
+            for lam in lams:
+                self._tables.pop((regular, float(lam)), None)
+
+    def counts(self) -> dict[str, int]:
+        with self._guard:
+            return dict(self._counts)
 
 
 def riccati(lam: float, x) -> FunctionPair:

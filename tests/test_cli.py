@@ -536,6 +536,26 @@ def test_roundtrip_single_phase(tmp_path, capsys):
     leak = rep["parity_leakage"]
     assert leak["ells"] == [1]
     assert leak["max_abs_tan"] < 5e-3
+    # the extraction residual of each channel, as forward writes it to its CSV
+    for row in rep["phases"] + leak["rows"]:
+        assert 0.0 <= row["residual"] < 1e-3
+
+
+def test_roundtrip_reports_sum_rule_targets_and_extraction_residuals(tmp_path, capsys):
+    phases = tmp_path / "phases.txt"
+    phases.write_text("0 0.4389\n1 0.1246\n")
+    code, out, _ = _run(capsys, ["roundtrip", "--phases", str(phases)])
+    assert code == 0
+    rep = _report(out)
+    rules, tail = rep["sum_rules"], rep["tail_closed_form"]
+    # sum_ell (-1)^ell c_ell B_ell {cos, sin} delta_ell = -2 {alpha, beta}
+    assert rules["target_cos"] == -2.0 * tail["alpha"]
+    assert rules["target_sin"] == -2.0 * tail["beta"]
+    for part in ("cos", "sin"):
+        assert rules[f"gap_{part}"] == rules[f"residual_{part}"] - rules[f"target_{part}"]
+        assert abs(rules[f"gap_{part}"]) < 4e-5
+    for row in rep["phases"]:
+        assert 0.0 <= row["residual"] < 1e-4
 
 
 def test_roundtrip_zero_phases(tmp_path, capsys):
@@ -584,6 +604,9 @@ def test_map_contains_reference_cell(tmp_path, capsys):
     assert rep["cells"] == 6
     assert rep["admissible_cells"] >= 1
     assert rep["errors"] == []
+    # one tile: the two v_ell tables and one u_L table per lattice value (3 + 2)
+    assert (rep["tables"]["filled"], rep["tables"]["most_live"]) == (7, 7)
+    assert rep["tables"]["bessel_points"] >= 3 * 7 * 14000
     text = out_csv.read_text()
     assert "L1,L2,admissible" in text
     # the two-channel reference solution (-0.3056, 0.9295) lives in this box

@@ -1,8 +1,12 @@
 """Admissibility layer: determinant scans, the |L-ell|<=1 rule, selection, maps."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from ctinv import consistency
 from ctinv.consistency import (
     admissibility_map,
     admissible_1d,
@@ -12,6 +16,7 @@ from ctinv.consistency import (
 )
 from ctinv.ctcore import InputSet, ShiftedSet
 from ctinv.errors import DomainError, SingularConfigurationError
+from ctinv.specfun import RiccatiTables, _riccati_halves
 
 RAMM_ZERO = 2.4431401944940823
 
@@ -218,3 +223,77 @@ def test_scan_radius_and_resolution_must_be_finite(r_max, resolution):
         scan_zeros((0,), (0.5,), r_max, resolution)
     with pytest.raises(DomainError):
         admissibility_map((0, 1), (0.2, 0.6, 0.2, 0.6), 0.2, r_max=r_max, scan_resolution=resolution)
+
+
+@pytest.mark.parametrize(
+    "box, resolution",
+    [((0.2, 1.2, 0.2, 1.2), 0.25), ((0.3, 0.9, 1.6, 2.0), 0.2)],
+    ids=["square", "box"],
+)
+def test_tiled_map_equals_per_cell_scans(monkeypatch, box, resolution):
+    # two lattice values per tile side: both lattices span several tiles
+    monkeypatch.setattr(consistency, "MAP_TILE", 2)
+    maps = [
+        admissibility_map((0, 1), box, resolution, r_max=30.0, threads=threads)
+        for threads in (1, 2)
+    ]
+    axis1, axis2 = maps[0].axis1, maps[0].axis2
+    square = np.array_equal(axis1, axis2)
+    tiles: dict = {}
+    for i, l1 in enumerate(axis1):
+        for j, l2 in enumerate(axis2):
+            if (square and j < i) or l1 == l2:
+                continue
+            v = scan_zeros((0, 1), (float(l1), float(l2)), r_max=30.0)
+            for amap in maps:
+                assert amap.admissible[i, j] == (v.settled and v.admissible), (l1, l2)
+            tiles.setdefault((i // 2, j // 2), set()).update((float(l1), float(l2)))
+    # the S tables once per map, each lattice value once per tile that scans it
+    assert len(tiles) > 1
+    filled = 2 + sum(len(values) for values in tiles.values())
+    most_live = 2 + max(len(values) for values in tiles.values())
+    for amap in maps:
+        assert amap.errors == []
+        assert (amap.tables["filled"], amap.tables["most_live"]) == (filled, most_live)
+    assert maps[0].tables == maps[1].tables
+
+
+def test_scan_through_shared_tables_refuses_another_step():
+    with pytest.raises(DomainError, match="another scan step"):
+        scan_zeros((0, 1), (0.5, 1.5), 30.0, 0.05, tables=RiccatiTables(0.1))
+
+
+def test_shared_tables_fill_each_order_once_under_thread_contention():
+    # more threads than cores, a short switch interval, and requests that
+    # grow the same tables out of order: a lost update would refill a table
+    # (filled > 4) or shrink one (a mismatch below)
+    tables = RiccatiTables(0.05)
+    lams = (-0.3056, 0.9295, 1.5, 2.5)
+    lengths = [400, 1600, 800, 3200, 200, 2400]
+    errors = []
+
+    def worker(k):
+        try:
+            for step in range(12):
+                n = lengths[(k + step) % len(lengths)]
+                for (val, dval) in tables.halves(lams[k % 2 :], True, n):
+                    assert len(val) == len(dval) == n
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and errors == []
+    counts = tables.counts()
+    assert counts == {"filled": 4, "bessel_points": 3 * 4 * 3200, "most_live": 4}
+    x = np.arange(1, 3201, dtype=float) * 0.05
+    for (val, dval), (ref, dref) in zip(tables.halves(lams, True, 3200), _riccati_halves(lams, x, True)):
+        assert np.array_equal(val, ref) and np.array_equal(dval, dref)

@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctinv.cli import write_map_csv
-from ctinv.consistency import AdmissibilityMap
+from ctinv.consistency import AdmissibilityMap, scan_zeros
 from ctinv.ctcore import InputSet, coeffs_to_T, expansion_coeffs, phases_from_T, solve_T
 from ctinv.errors import InadmissibleConfigurationError
 from ctinv.glm import RadialGrid, det_and_scale, solve_kernel
-from ctinv.specfun import cross_wronskian
+from ctinv.specfun import RiccatiTables, cross_wronskian
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -72,6 +72,25 @@ def test_every_solve_T_candidate_reproduces_the_phases(Ls):
     for cand in solve_T(InputSet((0, 1), deltas)).candidates:
         got = phases_from_T((0, 1), cand)
         assert max(abs(math.remainder(g - d, math.pi)) for g, d in zip(got, deltas)) <= 1e-9
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-0.45, 4.0), min_size=3, max_size=3),
+    st.sampled_from([(20.0, 0.05), (35.0, 0.05), (None, 0.1)]),
+)
+def test_scan_through_shared_tables_equals_a_fresh_scan(Ls, radius_step):
+    # a first scan on (L1, L3) leaves tables of S and L1, maybe longer than
+    # the second scan needs; the short radii double their range, most of
+    # them twice, so tables also grow under the second scan
+    L1, L2, L3 = Ls
+    assume(min(abs(L1 - L2), abs(L1 - L3)) >= 0.1)
+    assume(all(abs(L - ell) >= 0.05 for L in Ls for ell in (0, 1)))
+    r_max, step = radius_step
+    tables = RiccatiTables(step)
+    scan_zeros((0, 1), (L1, L3), r_max, step, tables=tables)
+    shared = scan_zeros((0, 1), (L1, L2), r_max, step, tables=tables)
+    assert shared == scan_zeros((0, 1), (L1, L2), r_max, step)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

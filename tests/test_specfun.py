@@ -8,6 +8,7 @@ from scipy import integrate, special
 
 from ctinv.errors import DomainError, SaturationError
 from ctinv.specfun import (
+    RiccatiTables,
     _riccati_half,
     _riccati_halves,
     bessel_jy,
@@ -315,3 +316,36 @@ def test_saturation_message_names_the_table_order():
     assert str(exc.value) == "Bessel value saturated at nu=150.5, x~1.06"
     val, none = _riccati_half(150.0, edge, False, deriv=False)
     assert none is None and np.all(np.isfinite(val))
+
+
+@pytest.mark.parametrize(
+    "regular, lams", [(True, (-0.3056, 0.9295, 2.5)), (False, (0.0, 1.0, 3.0))]
+)
+def test_tables_grown_n_2n_4n_equal_whole_grid_halves(regular, lams):
+    # each growth evaluates only the new points; the bits are those of one
+    # _riccati_halves call on the whole grid x_k = k * step
+    tables = RiccatiTables(0.05)
+    for n in (700, 1400, 2800):
+        got = tables.halves(lams, regular, n)
+        full = _riccati_halves(lams, np.arange(1, n + 1, dtype=float) * 0.05, regular)
+        for (val, dval), (ref, dref) in zip(got, full):
+            assert np.array_equal(val, ref) and np.array_equal(dval, dref)
+    # a shorter request reads a prefix and fills nothing
+    (val, _), = tables.halves(lams[:1], regular, 100)
+    assert np.array_equal(val, full[0][0][:100])
+    assert tables.counts() == {"filled": 3, "bessel_points": 3 * 3 * 2800, "most_live": 3}
+    tables.drop(lams[1:], regular)
+    tables.halves(lams, regular, 10)
+    assert tables.counts()["filled"] == 5
+
+
+def test_tables_raise_the_saturation_message_of_direct_halves():
+    x = np.arange(1, 201, dtype=float) * 0.005
+    with pytest.raises(SaturationError) as direct:
+        _riccati_halves((0.0, 150.0), x, False)
+    tables = RiccatiTables(0.005)
+    with pytest.raises(SaturationError) as memo:
+        tables.halves((0.0, 150.0), False, 200)
+    assert str(memo.value) == str(direct.value) == "Bessel value saturated at nu=150.5, x~0.005"
+    # the order that saturated left no table behind
+    assert tables.counts()["filled"] == 1

@@ -97,6 +97,12 @@ COMMANDS = [
      "--out", "map_square.csv"],
     ["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1",
      "--out", "map_box.csv"],
+    # lattices wider than one map tile (consistency.MAP_TILE = 9 values a side),
+    # square and not, so the shared tables are dropped and rebuilt between tiles
+    ["map", "--ells", "0,1", "--box=-0.3,1.9,-0.3,1.9", "--res", "0.2", "--lambda", "300",
+     "--threads", "2", "--out", "map_tiles.csv"],
+    ["map", "--ells", "0,1", "--box=-0.45,0.55,1.1,3.3", "--res", "0.2", "--lambda", "300",
+     "--threads", "2", "--out", "map_tiles_box.csv"],
     # a scan step above every default scan radius
     ["--config", "bigscan.cfg", "map", "--ells", "0,1", "--box=0.2,0.6,0.2,0.6", "--res", "0.2",
      "--out", "map_bigscan.csv"],
