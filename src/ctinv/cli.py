@@ -483,7 +483,7 @@ def cmd_check(args) -> tuple[int, dict | None]:
     report.update(_closed_forms(ells, shifted))
     report["moment_numeric"] = None
     report["sum_rules"] = None
-    if verdict.admissible and verdict.settled:
+    if verdict.admissible:
         integral_s = all(float(ell) == int(ell) for ell in ells)
         phases = report["implied_phases"] if integral_s else None
         _reconstruct(ells, shifted, cfg, phases, report, "tail_fit")

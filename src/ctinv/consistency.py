@@ -18,7 +18,7 @@ import numpy as np
 
 from .ctcore import InputSet, ShiftedSet, _as_Ls, _as_ells, _as_pair, _kappa
 from .errors import DomainError, InternalInconsistencyError
-from .glm import _det_scale, _glm_stack, det_and_scale
+from .glm import _det_scale, _glm_matrix, _halves
 from .specfun import RiccatiTables
 
 __all__ = [
@@ -45,15 +45,18 @@ MAP_TILE = 9  # lattice values per side of a map tile; its u_L tables go when it
 class AdmissibilityVerdict:
     """Scan outcome: zeros found (if any) and whether the scan settled.
 
-    `admissible` is meaningful only when `settled` is True; an unsettled
-    verdict with no zeros means the determinant had not converged onto its
-    limit within the allowed range doublings.
+    `admissible` is derived: a settled scan that found no zero.  A located
+    zero settles the scan; an unsettled verdict has no zeros, because D had
+    not converged onto its limit within the allowed range doublings.
     """
 
-    admissible: bool
     zeros: tuple[float, ...]
     r_max: float
     settled: bool
+
+    @property
+    def admissible(self) -> bool:
+        return self.settled and not self.zeros
 
 
 def admissible_1d(ell: float, big_l: float) -> bool:
@@ -95,20 +98,18 @@ def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
         raise DomainError(f"scan radius {radius:g} leaves no scan step in its last 10%")
 
 
-def _scan_det(ells, Ls, tables: RiccatiTables, n: int):
-    """D and its row-norm scale on the first n table points, SCAN_BLOCK rows at a time.
+def _scan_det(ells, Ls, tables: RiccatiTables, n: int, det, scale):
+    """D and its row-norm scale, (det, scale) on the first table points, extended to n.
 
-    Each stacked determinant is computed on its own, so the blocks give the
-    numbers of one whole-grid evaluation bit for bit.
+    Only points beyond len(det) are evaluated, SCAN_BLOCK rows at a time, each
+    determinant on its own, so the result equals one whole-grid evaluation bit for bit.
     """
     sides = tables.halves(Ls, True, n), tables.halves(ells, False, n)
-    det, scale = np.empty(n), np.empty(n)
-    for k in range(0, n, SCAN_BLOCK):
-        rows = slice(k, k + SCAN_BLOCK)
-        # uL, duL, vE, dvE of these rows, each stacked (orders, rows)
-        stacks = [np.array([h[part][rows] for h in side]) for side in sides for part in (0, 1)]
-        det[rows], scale[rows] = _det_scale(_glm_stack(ells, Ls, *stacks))
-    return det, scale
+    blocks = [(det, scale)] + [
+        _det_scale(_glm_matrix(ells, Ls, *sides, slice(k, k + SCAN_BLOCK)))
+        for k in range(len(det), n, SCAN_BLOCK)
+    ]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
 
 
 def scan_zeros(
@@ -132,8 +133,9 @@ def scan_zeros(
     The Riccati tables come from `tables`, a RiccatiTables on the step
     `resolution` that callers scanning many T share; without one the scan
     builds its own.  A doubled range appends only its new points to each
-    table, and D is evaluated in blocks of SCAN_BLOCK samples, so the
-    scan's memory beyond the tables stays a few arrays of the grid length.
+    table and evaluates D on its new samples only, in blocks of SCAN_BLOCK,
+    so the scan's memory beyond the tables stays a few arrays of the grid
+    length.  (S, T) is validated once, on entry, not at each Brent step.
     """
     ells, Ls = _as_pair(s, t)
     radius = float(r_max) if r_max is not None else default_scan_radius(ells, Ls)
@@ -144,19 +146,20 @@ def scan_zeros(
         raise DomainError("Riccati tables were built on another scan step")
     # the matching matrix tends to -M_cos as r -> infinity
     det_inf, scale_inf = _det_scale(-_kappa(ells, Ls)[1])
+    det = scale = np.empty(0)
 
     for attempt in range(MAX_DOUBLINGS + 1):
         span = radius * 2.0**attempt
         n = int(span / resolution)
         rr = np.arange(1, n + 1, dtype=float) * resolution
-        det, scale = _scan_det(ells, Ls, tables, n)
+        det, scale = _scan_det(ells, Ls, tables, n, det, scale)
 
         zeros: list[float] = []
         sign_change = np.nonzero(det[:-1] * det[1:] < 0.0)[0]
         for k in sign_change:
             from scipy.optimize import brentq  # deferred: importing scipy.optimize is slow
             root = brentq(
-                lambda x: det_and_scale(ells, Ls, x)[0],
+                lambda x: np.linalg.det(_glm_matrix(ells, Ls, *_halves(ells, Ls, [x])))[0],
                 rr[k],
                 rr[k + 1],
                 xtol=1e-12,
@@ -177,8 +180,8 @@ def scan_zeros(
             settled = math.copysign(1.0, d_end) == math.copysign(1.0, det_inf)
         if settled or zeros:
             # a located zero decides inadmissibility regardless of settlement
-            return AdmissibilityVerdict(not zeros, tuple(zeros), float(span), True)
-    return AdmissibilityVerdict(False, (), float(span), False)
+            return AdmissibilityVerdict(tuple(zeros), float(span), True)
+    return AdmissibilityVerdict((), float(span), False)
 
 
 @dataclass
@@ -320,7 +323,7 @@ def admissibility_map(
                 resolution=scan_resolution,
                 tables=tables,
             )
-            return i, j, bool(verdict.settled and verdict.admissible), None
+            return i, j, verdict.admissible, None
         except Exception as exc:  # recorded per cell, sweep continues
             return i, j, False, f"{type(exc).__name__}: {exc}"
 

@@ -64,28 +64,23 @@ class RadialGrid:
         return (np.arange(self.n, dtype=float) + 1.0) * self.h
 
 
-def _half_table(orders: np.ndarray, r: np.ndarray, regular: bool):
-    """One Riccati half (u, u' or v, v') per order, stacked (len(orders), len(r))."""
-    halves = _riccati_halves([float(lam) for lam in orders], r, regular)
-    return np.array([h[0] for h in halves]), np.array([h[1] for h in halves])
+def _halves(ells, Ls, r):
+    """(u_L, u_L') per L in T and (v_ell, v_ell') per ell in S on the radii r."""
+    return _riccati_halves(Ls, r, True), _riccati_halves(ells, r, False)
 
 
-def _matrices(ells: np.ndarray, Ls: np.ndarray, r: np.ndarray):
-    """Stacked GLM matrices M(r_k) plus the ingredient tables.
+def _glm_matrix(ells, Ls, u_halves, v_halves, rows: slice = slice(None)) -> np.ndarray:
+    """M(r_k) of shape (points, |S|, |T|) on `rows` of halves shaped as _halves returns them.
 
-    Returns (M, uL, duL, vE, dvE) with M of shape (len(r), |S|, |T|).
+    Each entry is computed on its own, so any split of the rows is bit-identical.
     """
-    uL, duL = _half_table(Ls, r, True)
-    vE, dvE = _half_table(ells, r, False)
-    return _glm_stack(ells, Ls, uL, duL, vE, dvE), uL, duL, vE, dvE
-
-
-def _glm_stack(ells, Ls, uL, duL, vE, dvE) -> np.ndarray:
-    """M(r_k) of shape (points, |S|, |T|) from half tables stacked (orders, points)."""
     den = _ll1(ells)[:, None] - _ll1(Ls)[None, :]
-    # wron[k, i, j] = u_{L_j} v'_{ell_i} - u'_{L_j} v_{ell_i} at r_k
-    wron = uL.T[:, None, :] * dvE.T[:, :, None] - duL.T[:, None, :] * vE.T[:, :, None]
-    return wron / den[None, :, :]
+    # entry (i, j) at r_k: (u_{L_j} v'_{ell_i} - u'_{L_j} v_{ell_i}) / den_ij
+    return np.stack([
+        np.stack([(u[rows] * dv[rows] - du[rows] * v[rows]) / den[i, j]
+                  for j, (u, du) in enumerate(u_halves)], axis=-1)
+        for i, (v, dv) in enumerate(v_halves)
+    ], axis=1)
 
 
 def glm_matrix(s, t, r: float) -> np.ndarray:
@@ -94,8 +89,7 @@ def glm_matrix(s, t, r: float) -> np.ndarray:
     rr = np.asarray([float(r)])
     if rr[0] <= 0.0:
         raise DomainError("r must be > 0")
-    m, *_ = _matrices(ells, Ls, rr)
-    return m[0]
+    return _glm_matrix(ells, Ls, *_halves(ells, Ls, rr))[0]
 
 
 def _det_scale(m: np.ndarray):
@@ -113,8 +107,7 @@ def det_and_scale(s, t, r):
     rr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(rr <= 0.0):
         raise DomainError("r must be > 0")
-    m, *_ = _matrices(ells, Ls, rr)
-    det, scale = _det_scale(m)
+    det, scale = _det_scale(_glm_matrix(ells, Ls, *_halves(ells, Ls, rr)))
     if np.isscalar(r) or np.asarray(r).ndim == 0:
         return float(det[0]), float(scale[0])
     return det, scale
@@ -146,7 +139,9 @@ def solve_kernel(s, t, grid: RadialGrid) -> KernelSolution:
     """
     ells, Ls = _as_pair(s, t)
     r = grid.r
-    m, uL, duL, vE, dvE = _matrices(ells, Ls, r)
+    # each stacked (orders, n_points); their rows are the halves M is built from
+    uL, duL, vE, dvE = (np.array(part) for side in _halves(ells, Ls, r) for part in zip(*side))
+    m = _glm_matrix(ells, Ls, list(zip(uL, duL)), list(zip(vE, dvE)))
     det, scale = _det_scale(m)
     # compare against the grid-wide scale too: for |S|=1 the pointwise
     # Hadamard scale IS |det| and can never expose a vanishing determinant

@@ -1,5 +1,6 @@
 """Admissibility layer: determinant scans, the |L-ell|<=1 rule, selection, maps."""
 
+import dataclasses
 import sys
 import threading
 
@@ -16,6 +17,7 @@ from ctinv.consistency import (
 )
 from ctinv.ctcore import InputSet, ShiftedSet
 from ctinv.errors import DomainError, SingularConfigurationError
+from ctinv.glm import det_and_scale
 from ctinv.specfun import RiccatiTables, _riccati_halves
 
 RAMM_ZERO = 2.4431401944940823
@@ -256,6 +258,42 @@ def test_tiled_map_equals_per_cell_scans(monkeypatch, box, resolution):
         assert amap.errors == []
         assert (amap.tables["filled"], amap.tables["most_live"]) == (filled, most_live)
     assert maps[0].tables == maps[1].tables
+
+
+@pytest.mark.parametrize(
+    "s, t", [((0,), (2.0,)), ((0, 1), (-0.3056, 0.9295)), ((0, 1, 2), (0.3, 1.2, 2.6))]
+)
+def test_scan_determinant_equals_det_and_scale_on_the_scan_grid(s, t):
+    # more samples than one SCAN_BLOCK, and a range extended in two steps
+    n = consistency.SCAN_BLOCK + 1000
+    det, scale = det_and_scale(s, t, np.arange(1, n + 1, dtype=float) * 0.05)
+    ells, Ls = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    tables = RiccatiTables(0.05)
+    held = consistency._scan_det(ells, Ls, tables, 1500, np.empty(0), np.empty(0))
+    scan_det, scan_scale = consistency._scan_det(ells, Ls, tables, n, *held)
+    assert np.array_equal(scan_det, det) and np.array_equal(scan_scale, scale)
+
+
+def test_doubled_scan_sends_each_sample_through_the_matrix_builder_once(monkeypatch):
+    rows = []
+    build = consistency._glm_matrix
+
+    def counting(*args, **kwargs):
+        m = build(*args, **kwargs)
+        rows.append(len(m))
+        return m
+
+    monkeypatch.setattr(consistency, "_glm_matrix", counting)
+    v = scan_zeros((0, 1), (0.5, -0.2), 50.0, 0.05)
+    assert (v.settled, v.zeros, v.r_max) == (False, (), 200.0)  # doubled twice, no refinement
+    assert sum(rows) == int(200.0 / 0.05)
+
+
+def test_admissibility_is_derived_not_stored():
+    assert "admissible" not in {f.name for f in dataclasses.fields(consistency.AdmissibilityVerdict)}
+    for zeros, settled in (((), True), ((), False), ((2.5,), True)):
+        verdict = consistency.AdmissibilityVerdict(zeros, 100.0, settled)
+        assert verdict.admissible == (settled and not zeros)
 
 
 def test_scan_through_shared_tables_refuses_another_step():

@@ -91,6 +91,7 @@ def test_scan_through_shared_tables_equals_a_fresh_scan(Ls, radius_step):
     scan_zeros((0, 1), (L1, L3), r_max, step, tables=tables)
     shared = scan_zeros((0, 1), (L1, L2), r_max, step, tables=tables)
     assert shared == scan_zeros((0, 1), (L1, L2), r_max, step)
+    assert shared.admissible == (shared.settled and not shared.zeros)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
