@@ -143,8 +143,11 @@ def _write_csv(path: str, kind: str, meta: dict[str, str], header: str, rows) ->
     lines += [f"# {key} = {value}" for key, value in meta.items()]
     lines.append(header)
     lines += rows
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise CtinvError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def write_potential_csv(path: str, profile: PotentialProfile, input_set: InputSet) -> None:
@@ -624,6 +627,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CtinvError as exc:
         print(f"ctinv: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"ctinv: out of memory: {exc}", file=sys.stderr)
         return 1
     if report is not None:
         report.update(command=args.command, timing_seconds=time.perf_counter() - t0)

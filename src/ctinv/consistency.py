@@ -99,7 +99,7 @@ def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
 
 
 def _scan_det(ells, Ls, tables: RiccatiTables, n: int, det, scale):
-    """D and its row-norm scale, (det, scale) on the first table points, extended to n.
+    """D and its row-norm scale: (det, scale) of the first table points, extended to n.
 
     Only points beyond len(det) are evaluated, SCAN_BLOCK rows at a time, each
     determinant on its own, so the result equals one whole-grid evaluation bit for bit.

@@ -199,6 +199,8 @@ class RiccatiTables:
 
     def halves(self, lams, regular: bool, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """(value, derivative) of each order on the first n grid points."""
+        if n < 1:
+            raise DomainError("a Riccati table needs n >= 1 grid points")
         return [self._half((regular, float(lam)), n) for lam in lams]
 
     def _half(self, key: tuple[bool, float], n: int):

@@ -244,6 +244,36 @@ def test_out_of_range_input_file_is_one_line_exit_1(name, text, argv, message, c
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forward", "--ws", "1,1,0.4", "--ellmax", "2"],
+        ["invert", "--phases", "ref1.txt"],
+        ["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1"],
+    ],
+    ids=["forward", "invert", "map"],
+)
+@pytest.mark.parametrize(
+    "out, reason",
+    [("missing/x.csv", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing_dir", "directory"],
+)
+def test_unwritable_out_is_one_line_exit_1(argv, out, reason, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ref1.txt").write_text(REF1_LINE)
+    code, stdout, err = _run(capsys, argv + ["--out", out])
+    assert (code, stdout, err) == (1, "", f"ctinv: cannot write {out}: {reason}\n")
+
+
+def test_allocation_beyond_memory_is_one_line_exit_1(capsys, tmp_path):
+    # 6e14 grid points ask numpy for 4.26 PiB, which fails before anything is allocated
+    argv = ["forward", "--ws", "1,1,0.4", "--ellmax", "2", "--step", "1e-13"]
+    code, out, err = _run(capsys, argv + ["--out", str(tmp_path / "out.csv")])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("ctinv: out of memory: Unable to allocate")
+    assert not (tmp_path / "out.csv").exists()
+
+
 # ---------------------------------------------------------------- invert
 
 

@@ -339,6 +339,15 @@ def test_tables_grown_n_2n_4n_equal_whole_grid_halves(regular, lams):
     assert tables.counts()["filled"] == 5
 
 
+@pytest.mark.parametrize("fill, n", [(0, 0), (10, 0), (10, -3)])
+def test_tables_refuse_fewer_than_one_point(fill, n):
+    tables = RiccatiTables(0.05)
+    if fill:
+        tables.halves([0.0], True, fill)
+    with pytest.raises(DomainError, match="needs n >= 1"):
+        tables.halves([0.0], True, n)
+
+
 def test_tables_raise_the_saturation_message_of_direct_halves():
     x = np.arange(1, 201, dtype=float) * 0.005
     with pytest.raises(SaturationError) as direct:

@@ -93,6 +93,8 @@ COMMANDS = [
     ["forward", "--potential", "short.csv", "--ellmax", "1", "--out", "short_phases.csv"],
     # a non-finite sample is refused
     ["forward", "--potential", "nan.csv", "--ellmax", "1", "--out", "nan_phases.csv"],
+    # an --out in a directory that does not exist: one line on stderr, exit 1
+    ["forward", "--ws", "1,1,0.4", "--ellmax", "2", "--out", "missing/x.csv"],
     ["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.25", "--threads", "2",
      "--out", "map_square.csv"],
     ["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1",
