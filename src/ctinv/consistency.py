@@ -75,8 +75,11 @@ def default_scan_radius(s, t) -> float:
     band of 1e-4 over the last decade of the range needs a radius in the
     several hundreds regardless of the orders involved.
     """
-    ells = _as_ells(s)
-    Ls = _as_Ls(t)
+    return _default_radius(_as_ells(s), _as_Ls(t))
+
+
+def _default_radius(ells: np.ndarray, Ls: np.ndarray) -> float:
+    """default_scan_radius of validated arrays."""
     top = float(max(np.max(ells), np.max(Ls)))
     return max(50.0 + 10.0 * top, MIN_SCAN_RADIUS)
 
@@ -117,7 +120,6 @@ def scan_zeros(
     t,
     r_max: float | None = None,
     resolution: float = SCAN_RESOLUTION,
-    tables: RiccatiTables | None = None,
 ) -> AdmissibilityVerdict:
     """Locate zeros of the Fredholm determinant on (0, r_max].
 
@@ -129,21 +131,26 @@ def scan_zeros(
     analytic r -> infinity limit whenever the latter is numerically
     nonzero (a disagreement proves a crossing beyond r_max).  An unsettled
     scan is retried with the range doubled, at most MAX_DOUBLINGS times.
-
-    The Riccati tables come from `tables`, a RiccatiTables on the step
-    `resolution` that callers scanning many T share; without one the scan
-    builds its own.  A doubled range appends only its new points to each
-    table and evaluates D on its new samples only, in blocks of SCAN_BLOCK,
-    so the scan's memory beyond the tables stays a few arrays of the grid
-    length.  (S, T) is validated once, on entry, not at each Brent step.
+    Without r_max the range is default_scan_radius(s, t).  (S, T) is
+    validated here, once, and scanned by _scan on tables of its own.
     """
     ells, Ls = _as_pair(s, t)
-    radius = float(r_max) if r_max is not None else default_scan_radius(ells, Ls)
+    return _scan(ells, Ls, r_max, RiccatiTables(resolution))
+
+
+def _scan(ells, Ls, r_max: float | None, tables: RiccatiTables) -> AdmissibilityVerdict:
+    """scan_zeros of S and T arrays as _as_pair returns them, on the step of `tables`.
+
+    T comes sorted: its order sets the columns of M(r), and so the last bits
+    of the row-norm scale.  Callers scanning many T share one RiccatiTables.
+    A doubled range appends only its new points to each table and evaluates
+    D on its new samples only, in blocks of SCAN_BLOCK, so the scan's memory
+    beyond the tables stays a few arrays of the grid length.  Only the step
+    and radius are checked here.
+    """
+    resolution = tables.step
+    radius = float(r_max) if r_max is not None else _default_radius(ells, Ls)
     _check_scan(r_max, resolution, radius)
-    if tables is None:
-        tables = RiccatiTables(resolution)
-    elif tables.step != resolution:
-        raise DomainError("Riccati tables were built on another scan step")
     # the matching matrix tends to -M_cos as r -> infinity
     det_inf, scale_inf = _det_scale(-_kappa(ells, Ls)[1])
     det = scale = np.empty(0)
@@ -208,17 +215,16 @@ def select_physical(
     only when exactly one candidate is admissible; more than one sets
     `ambiguous` and callers must decide (all of them reproduce the data).
 
-    The scans share one RiccatiTables: the v_ell tables of S are built once
-    for all candidates, and a candidate's u_L tables are dropped when its
-    scan returns.
+    Each candidate is validated against S once, then scanned by _scan.  The
+    scans share one RiccatiTables: the v_ell tables of S are built once for
+    all candidates, and a candidate's u_L tables are dropped when its scan
+    returns.  `unsettled` is set when any scan did not settle.
     """
-    ells = _as_ells(input_set)
-    verdicts: list[AdmissibilityVerdict] = []
-    admissible: list[ShiftedSet] = []
-    unsettled = False
     tables = RiccatiTables(resolution)
+    verdicts: list[AdmissibilityVerdict] = []
     for cand in candidates:
-        verdict = scan_zeros(ells, cand, resolution=resolution, tables=tables)
+        ells, Ls = _as_pair(input_set, cand)
+        verdict = _scan(ells, Ls, None, tables)
         tables.drop(cand.Ls, True)
         if len(ells) == 1 and verdict.settled:
             rule = admissible_1d(float(ells[0]), cand.Ls[0])
@@ -227,11 +233,9 @@ def select_physical(
                     f"scan and single-channel rule disagree for T={cand.Ls}"
                 )
         verdicts.append(verdict)
-        if not verdict.settled:
-            unsettled = True
-        elif verdict.admissible:
-            admissible.append(cand)
+    admissible = [cand for cand, verdict in zip(candidates, verdicts) if verdict.admissible]
     chosen = admissible[0] if len(admissible) == 1 else None
+    unsettled = not all(verdict.settled for verdict in verdicts)
     return SelectionReport(chosen, admissible, verdicts, len(admissible) > 1, unsettled)
 
 
@@ -314,32 +318,26 @@ def admissibility_map(
     tables = RiccatiTables(scan_resolution)
 
     def work(idx: tuple[int, int]):
+        # valid() is the cell check: it refuses every pair that _as_pair would
         i, j = idx
+        Ls = np.array(sorted((float(axis1[i]), float(axis2[j]))))
         try:
-            verdict = scan_zeros(
-                ells_arr,
-                (float(axis1[i]), float(axis2[j])),
-                r_max=r_max,
-                resolution=scan_resolution,
-                tables=tables,
-            )
-            return i, j, verdict.admissible, None
+            return _scan(ells_arr, Ls, r_max, tables).admissible, None
         except Exception as exc:  # recorded per cell, sweep continues
-            return i, j, False, f"{type(exc).__name__}: {exc}"
+            return False, f"{type(exc).__name__}: {exc}"
 
     tiles: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, j in cells:
         tiles.setdefault((i // MAP_TILE, j // MAP_TILE), []).append((i, j))
-    results = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for tile in tiles.values():
-            results += pool.map(work, tile)
+            for (i, j), (ok, err) in zip(tile, pool.map(work, tile)):
+                flags[i, j] = ok
+                if err is not None:
+                    errors.append((i, j, err))
             values = {float(axis1[i]) for i, _ in tile} | {float(axis2[j]) for _, j in tile}
             tables.drop(values, True)
-    for i, j, ok, err in sorted(results, key=lambda res: res[:2]):
-        flags[i, j] = ok
-        if err is not None:
-            errors.append((i, j, err))
+    errors.sort()  # cell order: a tile spans several lattice rows
 
     if square:
         flags |= flags.T

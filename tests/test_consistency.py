@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from ctinv import consistency
+from ctinv import consistency, ctcore
 from ctinv.consistency import (
     admissibility_map,
     admissible_1d,
@@ -261,6 +261,88 @@ def test_tiled_map_equals_per_cell_scans(monkeypatch, box, resolution):
 
 
 @pytest.mark.parametrize(
+    "box, r_max, tile",
+    [((0.0, 0.5, 1.0, 1.5), None, consistency.MAP_TILE), ((0.0, 0.5, 1.0, 2.0), 30.0, 2)],
+    ids=["one_tile", "tiles_across_rows"],
+)
+def test_map_records_each_cell_error_in_cell_order(monkeypatch, box, r_max, tile):
+    # the v_ell table of ell = 200 saturates at the first grid point in every cell;
+    # two-value tiles on a 2 x 3 lattice finish row 1 before cell (0, 2)
+    monkeypatch.setattr(consistency, "MAP_TILE", tile)
+    message = "SaturationError: Bessel value saturated at nu=200.5, x~0.05"
+    for threads in (1, 2):
+        amap = admissibility_map((200, 201), box, 0.5, r_max=r_max, threads=threads)
+        cells = [(i, j) for i in range(len(amap.axis1)) for j in range(len(amap.axis2))]
+        assert amap.errors == [(i, j, message) for i, j in cells]
+        assert not amap.admissible.any()
+
+
+def test_map_sweep_validates_S_and_T_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    for module in (consistency, ctcore):
+        for name in ("_as_pair", "_as_ells", "_as_Ls"):
+            if hasattr(module, name):
+                def counting(*args, _check=getattr(module, name)):
+                    calls.append(_check)
+                    return _check(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    counts, sizes = [], []
+    for box in ((0.1, 0.6, 1.1, 1.6), (0.1, 0.85, 1.1, 1.85)):
+        calls.clear()
+        amap = admissibility_map((0, 1), box, 0.25, r_max=30.0)
+        counts.append(len(calls))
+        sizes.append(amap.admissible.size)
+    assert sizes == [9, 16]
+    assert counts[0] == counts[1]
+
+
+def test_scan_counts_a_tangential_dip_as_a_zero(monkeypatch):
+    # D touches 0 at r = 200 * 0.05 without changing sign: no bracket for Brent
+    def touching(ells, Ls, tables, n, det, scale):
+        d = np.ones(n)
+        d[199] = 0.0
+        return d, np.ones(n)
+
+    monkeypatch.setattr(consistency, "_scan_det", touching)
+    v = scan_zeros((0, 1), (0.5, 1.5), 30.0, 0.05)
+    assert (v.zeros, v.settled, v.admissible, v.r_max) == ((200 * 0.05,), True, False, 30.0)
+
+
+@pytest.mark.parametrize(
+    "ells, candidates, chosen",
+    [
+        ((0, 1), [(0.5, 1.5), (-0.3, 0.9)], 1),
+        ((0, 1), [(0.5, 1.5), (0.5, 2.5)], None),
+        # the |L - ell| <= 1 rule says admissible, but an unsettled scan is not held to it
+        ((0,), [(0.5,)], None),
+    ],
+    ids=["one_settled", "none_settled", "single_channel"],
+)
+def test_selection_keeps_unsettled_scans_apart(monkeypatch, ells, candidates, chosen):
+    # a stubbed D: for L = 0.5 it swings by 0.5 without a zero and never settles,
+    # otherwise it sits on its r -> infinity limit
+    def stub(ells, Ls, tables, n, det, scale):
+        if 0.5 in Ls:
+            return 1.0 + 0.5 * (np.arange(n) % 2), np.ones(n)
+        limit = consistency._det_scale(-consistency._kappa(ells, Ls)[1])[0]
+        return np.full(n, limit), np.ones(n)
+
+    monkeypatch.setattr(consistency, "_scan_det", stub)
+    cands = [ShiftedSet(t) for t in candidates]
+    sel = select_physical(InputSet(ells, (0.1,) * len(ells)), cands)
+    assert sel.unsettled and not sel.ambiguous
+    assert [(v.zeros, v.settled) for v in sel.verdicts] == [
+        ((), 0.5 not in t) for t in candidates
+    ]
+    assert [v.r_max for v in sel.verdicts if not v.settled] == [2800.0] * sum(
+        0.5 in t for t in candidates
+    )
+    assert sel.chosen == (None if chosen is None else cands[chosen])
+    assert sel.admissible == ([] if chosen is None else [cands[chosen]])
+
+
+@pytest.mark.parametrize(
     "s, t", [((0,), (2.0,)), ((0, 1), (-0.3056, 0.9295)), ((0, 1, 2), (0.3, 1.2, 2.6))]
 )
 def test_scan_determinant_equals_det_and_scale_on_the_scan_grid(s, t):
@@ -294,11 +376,6 @@ def test_admissibility_is_derived_not_stored():
     for zeros, settled in (((), True), ((), False), ((2.5,), True)):
         verdict = consistency.AdmissibilityVerdict(zeros, 100.0, settled)
         assert verdict.admissible == (settled and not zeros)
-
-
-def test_scan_through_shared_tables_refuses_another_step():
-    with pytest.raises(DomainError, match="another scan step"):
-        scan_zeros((0, 1), (0.5, 1.5), 30.0, 0.05, tables=RiccatiTables(0.1))
 
 
 def test_shared_tables_fill_each_order_once_under_thread_contention():

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ctinv import consistency
 from ctinv.cli import write_map_csv
 from ctinv.consistency import AdmissibilityMap, scan_zeros
 from ctinv.ctcore import InputSet, coeffs_to_T, expansion_coeffs, phases_from_T, solve_T
@@ -88,8 +89,9 @@ def test_scan_through_shared_tables_equals_a_fresh_scan(Ls, radius_step):
     assume(all(abs(L - ell) >= 0.05 for L in Ls for ell in (0, 1)))
     r_max, step = radius_step
     tables = RiccatiTables(step)
-    scan_zeros((0, 1), (L1, L3), r_max, step, tables=tables)
-    shared = scan_zeros((0, 1), (L1, L2), r_max, step, tables=tables)
+    ells = np.array([0.0, 1.0])
+    consistency._scan(ells, np.array(sorted((L1, L3))), r_max, tables)
+    shared = consistency._scan(ells, np.array(sorted((L1, L2))), r_max, tables)
     assert shared == scan_zeros((0, 1), (L1, L2), r_max, step)
     assert shared.admissible == (shared.settled and not shared.zeros)
 
