@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage/parse error, 3 no admissible T,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -148,6 +149,25 @@ def _write_csv(path: str, kind: str, meta: dict[str, str], header: str, rows) ->
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise CtinvError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_out(path: str) -> str:
+    """`path`, refused with _write_csv's line when it cannot be opened for writing.
+
+    Commands call it before their work, so an unwritable --out fails at once;
+    it creates and changes no file.
+    """
+    parent = os.path.dirname(path) or "."
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        # the trailing separator makes a missing or non-directory parent fail as open() would
+        os.stat(os.path.join(parent, ""))
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise CtinvError(f"cannot write {path}: {exc.strerror or exc}")
+    return path
 
 
 def write_potential_csv(path: str, profile: PotentialProfile, input_set: InputSet) -> None:
@@ -299,6 +319,8 @@ def _closed_forms(s, t) -> dict:
 
 def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
     """Shared by invert and roundtrip: returns (exit_code, report, profile)."""
+    if out:
+        _check_out(out)
     report: dict = {
         "input": {"ells": list(input_set.ells), "deltas": list(input_set.deltas)},
         "grid": {"h": cfg.step, "lambda": cfg.lambda_max},
@@ -372,8 +394,8 @@ def cmd_forward(args) -> tuple[int, dict | None]:
         r, q, tail = read_potential_csv(args.potential)
         pot = SampledPotential.from_arrays(r, q, tail, description=f"file:{args.potential}")
         grid = RadialGrid(cfg.step, float(r[-1]))
+    out = _check_out(args.out or "phases.csv")
     table = phase_table(pot, range(args.ellmax + 1), grid)
-    out = args.out or "phases.csv"
     write_phase_csv(
         out,
         table,
@@ -443,6 +465,7 @@ def cmd_map(args) -> tuple[int, dict | None]:
         raise ParseError("map needs exactly two angular momenta, e.g. --ells 0,1")
     if len(args.box) != 4:
         raise ParseError("--box needs four numbers A,B,C,D")
+    out = _check_out(args.out or "map.csv")
     amap = admissibility_map(
         args.ells,
         box=tuple(args.box),
@@ -451,7 +474,6 @@ def cmd_map(args) -> tuple[int, dict | None]:
         scan_resolution=cfg.scan_resolution,
         threads=cfg.threads,
     )
-    out = args.out or "map.csv"
     write_map_csv(out, amap, {"box": ",".join(map(_fmt, args.box)), "res": _fmt(cfg.map_resolution)})
     report = {
         "S": list(amap.ells),

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     DomainError,
     IllConditionedWarning,
-    InsufficientDataError,
     InternalInconsistencyError,
     NoValidTError,
     SingularConfigurationError,
@@ -500,7 +499,7 @@ def sum_rules(s, t, deltas, b_factors) -> SumRules:
         raise DomainError("need one phase shift per element of S")
     b = np.asarray(list(b_factors), dtype=float)
     if b.shape != ells.shape:
-        raise InsufficientDataError("need one B_ell per element of S")
+        raise DomainError("need one B_ell per element of S")
     sign = np.where(np.round(ells).astype(int) % 2 == 0, 1.0, -1.0)
     return SumRules(
         float(np.sum(sign * c * b * np.cos(d))),

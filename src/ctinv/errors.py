@@ -64,10 +64,6 @@ class WindowTooSmallError(CtinvError, RuntimeError):
     """Phase extraction window too short or fit residual too large."""
 
 
-class InsufficientDataError(CtinvError, ValueError):
-    """An operation needs more inputs than were supplied (e.g. missing B_ell)."""
-
-
 class ParseError(CtinvError, ValueError):
     """A user-supplied file could not be parsed.
 

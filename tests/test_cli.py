@@ -249,20 +249,65 @@ def test_out_of_range_input_file_is_one_line_exit_1(name, text, argv, message, c
     [
         ["forward", "--ws", "1,1,0.4", "--ellmax", "2"],
         ["invert", "--phases", "ref1.txt"],
+        ["roundtrip", "--phases", "ref1.txt"],
         ["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1"],
     ],
-    ids=["forward", "invert", "map"],
+    ids=["forward", "invert", "roundtrip", "map"],
 )
 @pytest.mark.parametrize(
     "out, reason",
-    [("missing/x.csv", "No such file or directory"), (".", "Is a directory")],
-    ids=["missing_dir", "directory"],
+    [
+        ("missing/x.csv", "No such file or directory"),
+        (".", "Is a directory"),
+        ("ref1.txt/x.csv", "Not a directory"),
+    ],
+    ids=["missing_dir", "directory", "file_as_dir"],
 )
 def test_unwritable_out_is_one_line_exit_1(argv, out, reason, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ref1.txt").write_text(REF1_LINE)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    for name in ("solve_T", "admissibility_map", "phase_table"):
+        monkeypatch.setattr(cli, name, refuse)
     code, stdout, err = _run(capsys, argv + ["--out", out])
     assert (code, stdout, err) == (1, "", f"ctinv: cannot write {out}: {reason}\n")
+
+
+def test_out_without_write_permission_fails_before_the_work(capsys, tmp_path, monkeypatch):
+    # root may write anywhere: an os.access that refuses stands in for a read-only directory
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    monkeypatch.setattr(cli, "phase_table", None)  # calling it would raise TypeError
+    out = str(tmp_path / "x.csv")
+    code, stdout, err = _run(capsys, ["forward", "--ws", "1,1,0.4", "--ellmax", "2", "--out", out])
+    assert (code, stdout, err) == (1, "", f"ctinv: cannot write {out}: Permission denied\n")
+
+
+@pytest.mark.parametrize(
+    "phases, config, code",
+    [
+        ("0 0.9\n1 0.4\n", "", 3),  # both candidates carry a zero
+        ("0 0.4389\n1 0.1246\n", "seeds_per_axis = 2\n", 3),  # no candidate
+        ("0 0.4\n1 0.02\n", "", 4),  # the one zero-free candidate does not settle
+    ],
+    ids=["zeros", "no_candidate", "unsettled"],
+)
+@pytest.mark.parametrize("held", [None, "an earlier potential\n"], ids=["new", "existing"])
+def test_writable_out_is_left_alone_by_exit_3_and_4(phases, config, code, held, capsys, tmp_path):
+    (tmp_path / "phases.txt").write_text(phases)
+    (tmp_path / "run.cfg").write_text(config)
+    out = tmp_path / "out.csv"
+    if held is not None:
+        out.write_text(held)
+        os.utime(out, ns=(10**18, 10**18))
+    argv = ["--config", str(tmp_path / "run.cfg"), "invert", "--phases", str(tmp_path / "phases.txt")]
+    assert _run(capsys, argv + ["--out", str(out)])[0] == code
+    if held is None:
+        assert not out.exists()
+    else:
+        assert (out.read_text(), out.stat().st_mtime_ns) == (held, 10**18)
 
 
 def test_allocation_beyond_memory_is_one_line_exit_1(capsys, tmp_path):
@@ -414,6 +459,18 @@ def test_invert_no_admissible_exit_3(tmp_path, capsys):
     assert rep["candidates"]
     assert all(not c["admissible"] for c in rep["candidates"])
     assert all(c["zeros"] for c in rep["candidates"])
+
+
+def test_invert_without_candidate_reports_the_seeds_exit_3(tmp_path, capsys):
+    # a 2-point seed lattice on ref2 leaves one seed, and its Newton run does not converge
+    (tmp_path / "phases.txt").write_text("0 0.4389\n1 0.1246\n")
+    (tmp_path / "run.cfg").write_text("seeds_per_axis = 2\n")
+    argv = ["--config", str(tmp_path / "run.cfg"), "invert", "--phases", str(tmp_path / "phases.txt")]
+    code, out, _ = _run(capsys, argv + ["--out", str(tmp_path / "out.csv")])
+    rep = _report(out)
+    assert (code, rep["candidates"], rep["chosen_T"], rep["seeds_tried"]) == (3, [], None, 1)
+    assert rep["best_seed_residual"] == pytest.approx(1.5437502759, rel=1e-9)
+    assert "out" not in rep and not (tmp_path / "out.csv").exists()
 
 
 def test_invert_malformed_file_reports_line(tmp_path, capsys):
@@ -586,6 +643,17 @@ def test_roundtrip_reports_sum_rule_targets_and_extraction_residuals(tmp_path, c
         assert abs(rules[f"gap_{part}"]) < 4e-5
     for row in rep["phases"]:
         assert 0.0 <= row["residual"] < 1e-4
+
+
+def test_roundtrip_without_admissible_candidate_exit_3(tmp_path, capsys):
+    phases = tmp_path / "phases.txt"
+    phases.write_text("0 0.9\n1 0.4\n")
+    code, out, _ = _run(capsys, ["roundtrip", "--phases", str(phases)])
+    rep = _report(out)
+    assert (code, rep["chosen_T"], rep["ambiguous"]) == (3, None, False)
+    assert len(rep["candidates"]) == 2
+    assert all(c["settled"] and c["zeros"] and not c["admissible"] for c in rep["candidates"])
+    assert "phases" not in rep and "max_phase_discrepancy" not in rep
 
 
 def test_roundtrip_zero_phases(tmp_path, capsys):

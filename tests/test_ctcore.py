@@ -231,6 +231,16 @@ def test_sum_rules_vanish_at_searched_configuration():
     assert abs(rules.residual_sin) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "deltas, b_factors, message",
+    [((0.3,), (1.0, 1.0), "one phase shift per element"), ((0.3, 0.1), (1.0,), "one B_ell per element")],
+    ids=["deltas", "b_factors"],
+)
+def test_sum_rules_refuse_a_wrong_length_as_a_domain_error(deltas, b_factors, message):
+    with pytest.raises(DomainError, match=message):
+        sum_rules((0, 2), (0.35, 1.9), deltas, b_factors)
+
+
 def test_sum_rules_even_parity_sign_pattern():
     # all-even S: residual_cos is exactly sum c_ell under B cos(delta) = 1
     s = InputSet((0, 2), (0.3, 0.1))

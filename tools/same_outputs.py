@@ -95,6 +95,7 @@ COMMANDS = [
     ["forward", "--potential", "nan.csv", "--ellmax", "1", "--out", "nan_phases.csv"],
     # an --out in a directory that does not exist: one line on stderr, exit 1
     ["forward", "--ws", "1,1,0.4", "--ellmax", "2", "--out", "missing/x.csv"],
+    ["invert", "--phases", "ref1.txt", "--out", "missing/x.csv"],
     ["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.25", "--threads", "2",
      "--out", "map_square.csv"],
     ["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1",
@@ -105,6 +106,9 @@ COMMANDS = [
      "--threads", "2", "--out", "map_tiles.csv"],
     ["map", "--ells", "0,1", "--box=-0.45,0.55,1.1,3.3", "--res", "0.2", "--lambda", "300",
      "--threads", "2", "--out", "map_tiles_box.csv"],
+    # a 9x9 map whose --out cannot be written: one line on stderr, exit 1
+    ["map", "--ells", "0,1", "--box=-0.4,1.6,-0.4,1.6", "--res", "0.25", "--threads", "2",
+     "--out", "missing/x.csv"],
     # a scan step above every default scan radius
     ["--config", "bigscan.cfg", "map", "--ells", "0,1", "--box=0.2,0.6,0.2,0.6", "--res", "0.2",
      "--out", "map_bigscan.csv"],
