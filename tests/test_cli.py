@@ -466,11 +466,10 @@ def test_invert_without_candidate_reports_the_seeds_exit_3(tmp_path, capsys):
     (tmp_path / "phases.txt").write_text("0 0.4389\n1 0.1246\n")
     (tmp_path / "run.cfg").write_text("seeds_per_axis = 2\n")
     argv = ["--config", str(tmp_path / "run.cfg"), "invert", "--phases", str(tmp_path / "phases.txt")]
-    code, out, _ = _run(capsys, argv + ["--out", str(tmp_path / "out.csv")])
+    code, out, _ = _run(capsys, argv)
     rep = _report(out)
     assert (code, rep["candidates"], rep["chosen_T"], rep["seeds_tried"]) == (3, [], None, 1)
     assert rep["best_seed_residual"] == pytest.approx(1.5437502759, rel=1e-9)
-    assert "out" not in rep and not (tmp_path / "out.csv").exists()
 
 
 def test_invert_malformed_file_reports_line(tmp_path, capsys):

@@ -281,12 +281,11 @@ def test_map_sweep_validates_S_and_T_a_fixed_number_of_times(monkeypatch):
     calls = []
     for module in (consistency, ctcore):
         for name in ("_as_pair", "_as_ells", "_as_Ls"):
-            if hasattr(module, name):
-                def counting(*args, _check=getattr(module, name)):
-                    calls.append(_check)
-                    return _check(*args)
+            def counting(*args, _check=getattr(module, name)):
+                calls.append(_check)
+                return _check(*args)
 
-                monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, name, counting)
     counts, sizes = [], []
     for box in ((0.1, 0.6, 1.1, 1.6), (0.1, 0.85, 1.1, 1.85)):
         calls.clear()
@@ -332,12 +331,8 @@ def test_selection_keeps_unsettled_scans_apart(monkeypatch, ells, candidates, ch
     cands = [ShiftedSet(t) for t in candidates]
     sel = select_physical(InputSet(ells, (0.1,) * len(ells)), cands)
     assert sel.unsettled and not sel.ambiguous
-    assert [(v.zeros, v.settled) for v in sel.verdicts] == [
-        ((), 0.5 not in t) for t in candidates
-    ]
-    assert [v.r_max for v in sel.verdicts if not v.settled] == [2800.0] * sum(
-        0.5 in t for t in candidates
-    )
+    assert [(v.zeros, v.settled) for v in sel.verdicts] == [((), 0.5 not in t) for t in candidates]
+    assert all(v.r_max == 2800.0 for v in sel.verdicts if not v.settled)  # doubled twice
     assert sel.chosen == (None if chosen is None else cands[chosen])
     assert sel.admissible == ([] if chosen is None else [cands[chosen]])
 

@@ -233,7 +233,10 @@ def test_sum_rules_vanish_at_searched_configuration():
 
 @pytest.mark.parametrize(
     "deltas, b_factors, message",
-    [((0.3,), (1.0, 1.0), "one phase shift per element"), ((0.3, 0.1), (1.0,), "one B_ell per element")],
+    [
+        ((0.3,), (1.0, 1.0), "one phase shift per element"),
+        ((0.3, 0.1), (1.0,), "one B_ell per element"),
+    ],
     ids=["deltas", "b_factors"],
 )
 def test_sum_rules_refuse_a_wrong_length_as_a_domain_error(deltas, b_factors, message):
