@@ -28,6 +28,7 @@ from .ctcore import (
     SEEDS_PER_AXIS,
     InputSet,
     ShiftedSet,
+    _cos_cond,
     asymptotic_data,
     expansion_coeffs,
     moment_closed_form,
@@ -270,7 +271,8 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
     Shared by invert, roundtrip and check: fills `report` (the tail fit
     under `tail_key`) and returns the potential profile.  Sum rules need
     integer S and one phase per channel; they are skipped when `phases`
-    is None.
+    is None.  Their targets -2 alpha, -2 beta are read from the report's
+    `tail_closed_form`, which the caller files first (_closed_forms).
     """
     grid = RadialGrid(cfg.step, cfg.lambda_max)
     kernel = solve_kernel(ells, shifted, grid)
@@ -293,8 +295,8 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
                 for ell in ells
             ]
             rules = sum_rules(ells, shifted, phases, b_factors)
-            asym = asymptotic_data(ells, shifted)
-            target_cos, target_sin = -2.0 * asym.alpha, -2.0 * asym.beta
+            tail = report["tail_closed_form"]
+            target_cos, target_sin = -2.0 * tail["alpha"], -2.0 * tail["beta"]
             report["sum_rules"] = {
                 **rules._asdict(),
                 "b_factors": b_factors,
@@ -365,8 +367,8 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
             return EXIT_UNSETTLED if sel.unsettled else EXIT_NO_ADMISSIBLE, report, None
         chosen = sel.admissible[0]
         report["chosen_T"] = list(chosen.Ls)
-        profile = _reconstruct(input_set.ells, chosen, cfg, input_set.deltas, report, "tail")
         report.update(_closed_forms(input_set, chosen))
+        profile = _reconstruct(input_set.ells, chosen, cfg, input_set.deltas, report, "tail")
         report["expansion_coeffs"] = list(expansion_coeffs(input_set, chosen))
     if out:
         write_potential_csv(out, profile, input_set)
@@ -493,9 +495,11 @@ def cmd_check(args) -> tuple[int, dict | None]:
         raise ParseError("--ells and --T must have the same length")
     shifted = ShiftedSet(tuple(args.T))
     verdict = scan_zeros(ells, shifted, r_max=args.lam, resolution=cfg.scan_resolution)
+    cond = _cos_cond(np.asarray(ells, dtype=float), [shifted])[0]
     report = {
         "S": list(ells),
         "T": list(shifted.Ls),
+        "cos_cond": cond if math.isfinite(cond) else None,
         **_verdict_dict(verdict),
     }
     if len(ells) == 1:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,7 +24,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    IllConditionedWarning,
     InternalInconsistencyError,
     NoValidTError,
     SingularConfigurationError,
@@ -245,19 +243,11 @@ def _kappa(ells: np.ndarray, Ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def kappa_matrices(s, t) -> tuple[np.ndarray, np.ndarray]:
     """The sin and cos structure matrices (rows ell in S, columns L in T).
 
-    Warns with IllConditionedWarning when the cos matrix has condition
-    estimate above 1e12; raises SingularConfigurationError when S and T
-    collide (vanishing denominator).
+    Raises SingularConfigurationError when S and T collide (vanishing
+    denominator).  The condition of M_cos is not estimated here: solve_T
+    reports it once per candidate as `cos_cond` (see _cos_cond).
     """
-    m_sin, m_cos = _kappa(*_as_pair(s, t))
-    cond = np.linalg.cond(m_cos)
-    if not np.isfinite(cond) or cond > 1e12:
-        warnings.warn(
-            f"cos structure matrix condition ~{cond:.3g}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    return m_sin, m_cos
+    return _kappa(*_as_pair(s, t))
 
 
 def phases_from_T(s, t) -> np.ndarray:
@@ -319,7 +309,7 @@ def _phase_residual(ells_arr: np.ndarray, deltas_arr: np.ndarray, Ls: np.ndarray
 
 
 def _cos_cond(ells_arr: np.ndarray, candidates: list[ShiftedSet]) -> list[float]:
-    """Condition number of M_cos, once per candidate (no warning at this stage)."""
+    """Condition number of M_cos, once per candidate: the one place it is computed."""
     return [float(np.linalg.cond(_kappa(ells_arr, np.asarray(c.Ls))[1])) for c in candidates]
 
 
@@ -463,9 +453,10 @@ def asymptotic_data(s, t) -> AsymptoticData:
     componentwise over S; then
     alpha = (1/2) sum_L (a_L cos(L pi/2) - b_L sin(L pi/2)) and
     beta = -(1/2) sum_L (a_L sin(L pi/2) + b_L cos(L pi/2)).
+    The pair is validated once; an ill-conditioned M_cos is not warned about.
     """
     ells, Ls = _as_pair(s, t)
-    _, m_cos = kappa_matrices(s, t)
+    m_cos = _kappa(ells, Ls)[1]
     half_pi = 0.5 * math.pi
     a = np.linalg.solve(m_cos, np.cos(half_pi * ells))
     b = np.linalg.solve(m_cos, np.sin(half_pi * ells))

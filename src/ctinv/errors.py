@@ -32,10 +32,6 @@ class SingularConfigurationError(CtinvError, ValueError):
     """
 
 
-class IllConditionedWarning(UserWarning):
-    """A linear solve went through but the matrix condition exceeds 1e12."""
-
-
 class InternalInconsistencyError(CtinvError, RuntimeError):
     """A quantity that must be real/unimodular by construction is not.
 

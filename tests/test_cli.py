@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,40 @@ def test_check_unsettled_exit_4(capsys):
     assert rep["scan_r_max"] == 2800.0
     assert rep["admissible"] is False
     assert rep["zeros"] == []
+
+
+def test_cos_cond_is_computed_once_per_candidate_and_reported(tmp_path, capsys, monkeypatch):
+    # one cond(M_cos) per candidate of ref2 (4) and one for check, each reported;
+    # one asymptotic_data solve per reconstructed report
+    conds, solves = [], []
+    cond, asym = np.linalg.cond, cli.asymptotic_data
+    monkeypatch.setattr(np.linalg, "cond", lambda *a: conds.append(a) or cond(*a))
+    monkeypatch.setattr(cli, "asymptotic_data", lambda *a: solves.append(a) or asym(*a))
+    phases = tmp_path / "ref2.txt"
+    phases.write_text("0 0.4389\n1 0.1246\n")
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("step = 0.01\nlambda = 60\n")
+    base = ["--config", str(cfg)]
+    invert = ["invert", "--phases", str(phases), "--out", str(tmp_path / "p.csv")]
+    code, out, _ = _run(capsys, base + invert)
+    assert code == 0
+    assert (len(conds), len(solves)) == (4, 1)
+    assert [c["cos_cond"] for c in _report(out)["candidates"]] == [cond(*a) for a in conds]
+    conds.clear(), solves.clear()
+    code, out, _ = _run(capsys, base + ["check", "--ells", "0,1", "--T=-0.3056,0.9295"])
+    assert code == 0
+    assert (len(conds), len(solves)) == (1, 1)
+    assert _report(out)["cos_cond"] == cond(*conds[0])
+
+
+def test_check_reports_an_ill_conditioned_M_cos_without_a_warning(capsys):
+    # det M_cos is within 1e-12 of 0 here: cond(M_cos) ~ 5.6e12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["check", "--ells", "0,1", "--T=0.5,1.78126466582", "--lambda", "30"]
+        code, out, _ = _run(capsys, argv)
+    assert code == 4
+    assert 1e12 < _report(out)["cos_cond"] < 1e13
 
 
 def test_invert_and_check_share_reconstruction(tmp_path, capsys):

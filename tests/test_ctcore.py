@@ -25,7 +25,6 @@ from ctinv.ctcore import (
 )
 from ctinv.errors import (
     DomainError,
-    IllConditionedWarning,
     InternalInconsistencyError,
     SingularConfigurationError,
 )
@@ -305,9 +304,7 @@ def _public_residual(ells, deltas, trial):
     if np.min(np.abs(ells[:, None] - trial[None, :])) < 1e-7:
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IllConditionedWarning)
-            return _wrap_pi(phases_from_T(ells, ShiftedSet(tuple(srt))) - deltas)
+        return _wrap_pi(phases_from_T(ells, ShiftedSet(tuple(srt))) - deltas)
     except InternalInconsistencyError:
         return None
 
