@@ -84,6 +84,37 @@ def _default_radius(ells: np.ndarray, Ls: np.ndarray) -> float:
     return max(50.0 + 10.0 * top, MIN_SCAN_RADIUS)
 
 
+def _end_signs(ells, Ls) -> tuple[float, float]:
+    """sign D(0+) and sign D(infinity), from S and T alone.
+
+    As r -> 0, u_L ~ a_L r^(L+1) and v_ell ~ -b_ell r^(-ell) with a, b > 0, so
+    entry (i, j) of M(r) tends to a_L b_ell r^(L - ell) / (ell - L) and D(0+)
+    has the sign of the Cauchy determinant det[1/(ell_i - L_j)], the product
+    prod_{i<j} (ell_j - ell_i)(L_i - L_j) / prod_{i,j} (ell_i - L_j).  As
+    r -> infinity M(r) tends to -M_cos, so D(infinity) has the sign of
+    det(-M_cos); that sign is 0.0 when |det M_cos| <= 1e-8 times its row-norm
+    scale, where it is not resolved.
+    """
+    i, j = np.triu_indices(len(ells), 1)
+    cauchy = np.concatenate([ells[j] - ells[i], Ls[i] - Ls[j], np.ravel(ells[:, None] - Ls)])
+    det_inf, scale_inf = _det_scale(-_kappa(ells, Ls)[1])
+    at_inf = math.copysign(1.0, det_inf) if abs(det_inf) > 1e-8 * scale_inf else 0.0
+    return float(np.prod(np.sign(cauchy))), at_inf
+
+
+def _parity(ells, Ls) -> str | None:
+    """"odd" or "even": the parity of the number of zeros of D on r > 0.
+
+    None when the sign of D(infinity) is not resolved (det M_cos near 0).
+    An odd parity proves a zero, so T is inadmissible; an even one proves
+    nothing, since zeros may come in pairs.
+    """
+    at_origin, at_inf = _end_signs(ells, Ls)
+    if not at_inf:
+        return None
+    return "even" if at_origin == at_inf else "odd"
+
+
 def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
     """Scan step finite, > 0 and leaving a sample in the last 10% of the radius.
 
@@ -151,8 +182,7 @@ def _scan(ells, Ls, r_max: float | None, tables: RiccatiTables) -> Admissibility
     resolution = tables.step
     radius = float(r_max) if r_max is not None else _default_radius(ells, Ls)
     _check_scan(r_max, resolution, radius)
-    # the matching matrix tends to -M_cos as r -> infinity
-    det_inf, scale_inf = _det_scale(-_kappa(ells, Ls)[1])
+    at_inf = _end_signs(ells, Ls)[1]
     det = scale = np.empty(0)
 
     for attempt in range(MAX_DOUBLINGS + 1):
@@ -183,8 +213,8 @@ def _scan(ells, Ls, r_max: float | None, tables: RiccatiTables) -> Admissibility
         window = rr >= 0.9 * span
         d_end = det[-1]
         settled = bool(np.max(np.abs(det[window] - d_end)) <= SETTLE_TOL)
-        if settled and abs(det_inf) > 1e-8 * scale_inf:
-            settled = math.copysign(1.0, d_end) == math.copysign(1.0, det_inf)
+        if settled and at_inf:
+            settled = math.copysign(1.0, d_end) == at_inf
         if settled or zeros:
             # a located zero decides inadmissibility regardless of settlement
             return AdmissibilityVerdict(tuple(zeros), float(span), True)

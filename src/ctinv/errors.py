@@ -2,7 +2,8 @@
 
 Every failure the library can signal deliberately derives from CtinvError so
 callers can catch one type at the CLI boundary and map subclasses to exit
-codes.
+codes.  There is no warning class: ill-conditioning is reported (the
+cos_cond of each candidate), not warned about.
 """
 
 from __future__ import annotations

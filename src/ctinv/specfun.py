@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import BracketingError, DomainError, SaturationError
+from .errors import BracketingError, CtinvError, DomainError, SaturationError
 
 __all__ = [
     "FunctionPair",
@@ -186,6 +186,9 @@ class RiccatiTables:
     the first n points equal _riccati_halves on the whole grid bit for bit.
     Threads may share one instance: each table fills under its own lock,
     so no fill runs twice and no table is replaced by a shorter one.
+    A fill that fails with a CtinvError (a saturated Y near the origin) is
+    remembered with its length: a request at least that long raises a new
+    exception of the same type and message and evaluates nothing.
     `counts()` gives the tables `filled` from empty, the `bessel_points`
     evaluated (three orders per point) and the `most_live` at once.
     """
@@ -194,7 +197,9 @@ class RiccatiTables:
         self.step = float(step)  # checked by the callers: scans refuse a bad step
         self._tables: dict[tuple[bool, float], tuple[np.ndarray, np.ndarray]] = {}
         self._locks: dict[tuple[bool, float], threading.Lock] = {}
-        self._guard = threading.Lock()  # the two dicts and the counts
+        # a failed fill: its length, error type and arguments (no traceback is kept alive)
+        self._failed: dict[tuple[bool, float], tuple[int, type, tuple]] = {}
+        self._guard = threading.Lock()  # the dicts and the counts
         self._counts = {"filled": 0, "bessel_points": 0, "most_live": 0}
 
     def halves(self, lams, regular: bool, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -209,10 +214,18 @@ class RiccatiTables:
         with lock:
             with self._guard:
                 held = self._tables.get(key)
+                failed = self._failed.get(key)
+            if failed is not None and n >= failed[0]:
+                raise failed[1](*failed[2])
             have = 0 if held is None else len(held[0])
             if have < n:
                 x = np.arange(have + 1, n + 1, dtype=float) * self.step
-                new = _riccati_halves((key[1],), x, key[0])[0]
+                try:
+                    new = _riccati_halves((key[1],), x, key[0])[0]
+                except CtinvError as exc:
+                    with self._guard:
+                        self._failed[key] = (n, type(exc), exc.args)
+                    raise
                 held = new if held is None else tuple(map(np.concatenate, zip(held, new)))
                 for arr in held:  # callers get views of the shared table
                     arr.flags.writeable = False
@@ -225,13 +238,14 @@ class RiccatiTables:
         return held[0][:n], held[1][:n]
 
     def drop(self, lams, regular: bool) -> None:
-        """Forget the tables of these orders; a later request builds them again.
+        """Forget the tables and failed fills of these orders; a later request builds them again.
 
         Call it only for orders that no other thread is reading or filling.
         """
         with self._guard:
             for lam in lams:
                 self._tables.pop((regular, float(lam)), None)
+                self._failed.pop((regular, float(lam)), None)
 
     def counts(self) -> dict[str, int]:
         with self._guard:

@@ -99,12 +99,17 @@ def test_cos_cond_is_computed_once_per_candidate_and_reported(tmp_path, capsys, 
     code, out, _ = _run(capsys, base + invert)
     assert code == 0
     assert (len(conds), len(solves)) == (4, 1)
-    assert [c["cos_cond"] for c in _report(out)["candidates"]] == [cond(*a) for a in conds]
+    cands = _report(out)["candidates"]
+    assert [c["cos_cond"] for c in cands] == [cond(*a) for a in conds]
+    # two candidates of ref2 have an odd number of zeros; the admissible one is even
+    assert [c["parity"] for c in cands if c["admissible"]] == ["even"]
+    assert sum(c["parity"] == "odd" for c in cands) == 2
     conds.clear(), solves.clear()
     code, out, _ = _run(capsys, base + ["check", "--ells", "0,1", "--T=-0.3056,0.9295"])
     assert code == 0
     assert (len(conds), len(solves)) == (1, 1)
-    assert _report(out)["cos_cond"] == cond(*conds[0])
+    rep = _report(out)
+    assert (rep["cos_cond"], rep["parity"]) == (cond(*conds[0]), "even")
 
 
 def test_check_reports_an_ill_conditioned_M_cos_without_a_warning(capsys):
@@ -114,7 +119,9 @@ def test_check_reports_an_ill_conditioned_M_cos_without_a_warning(capsys):
         argv = ["check", "--ells", "0,1", "--T=0.5,1.78126466582", "--lambda", "30"]
         code, out, _ = _run(capsys, argv)
     assert code == 4
-    assert 1e12 < _report(out)["cos_cond"] < 1e13
+    rep = _report(out)
+    assert 1e12 < rep["cos_cond"] < 1e13
+    assert rep["parity"] is None  # the sign of D(infinity) is not resolved
 
 
 def test_invert_and_check_share_reconstruction(tmp_path, capsys):

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from ctinv import consistency, ctcore
+from ctinv import consistency, ctcore, specfun
 from ctinv.consistency import (
     admissibility_map,
     admissible_1d,
@@ -275,6 +275,23 @@ def test_map_records_each_cell_error_in_cell_order(monkeypatch, box, r_max, tile
         cells = [(i, j) for i in range(len(amap.axis1)) for j in range(len(amap.axis2))]
         assert amap.errors == [(i, j, message) for i, j in cells]
         assert not amap.admissible.any()
+
+
+def test_map_evaluates_a_saturating_table_once(monkeypatch):
+    # every cell needs v_200, which saturates; the failed fill is remembered
+    fills = []
+
+    def counting(lams, x, regular, *args):
+        fills.append((tuple(lams), regular))
+        return _riccati_halves(lams, x, regular, *args)
+
+    monkeypatch.setattr(specfun, "_riccati_halves", counting)
+    for threads in (1, 2):
+        fills.clear()
+        amap = admissibility_map((200, 201), (0.0, 0.5, 1.0, 1.5), 0.5, threads=threads)
+        assert len(amap.errors) == 4
+        assert fills.count(((200.0,), False)) == 1
+        assert amap.tables == {"filled": 4, "bessel_points": 4 * 3 * 41200, "most_live": 4}
 
 
 def test_map_sweep_validates_S_and_T_a_fixed_number_of_times(monkeypatch):

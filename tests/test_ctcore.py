@@ -1,6 +1,7 @@
 """Algebraic layer: coefficient maps, nonlinear solves, tail sum rules."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -155,6 +156,46 @@ def test_solve_T_two_shifts_reference():
     for t in res.candidates:
         ph = phases_from_T(InputSet(s.ells, (0.0, 0.0)), t)
         assert np.max(np.abs([reduce_phase(a - b) for a, b in zip(ph, s.deltas)])) < 1e-8
+
+
+def _stratified_T(seed: int, cycle: int) -> list[list[float]]:
+    """T for S = {0, 1}, one per cell of a 5 x 5 grid over L1 < L2 in (-0.45, 3.8).
+
+    Each T is 0.1 apart, 0.05 from S and outside (-0.45, 0) x (1.95, 2.25),
+    the box around the T that solve_T is known to miss.
+    """
+    rng = random.Random(f"tsolve:{seed}:{cycle}")
+    edges = np.linspace(-0.45, 3.8, 6)
+    draws = []
+    for i in range(5):
+        for j in range(i, 5):
+            while True:
+                Ls = sorted(
+                    (rng.uniform(edges[i], edges[i + 1]), rng.uniform(edges[j], edges[j + 1]))
+                )
+                if (
+                    Ls[1] - Ls[0] >= 0.1
+                    and min(abs(L - e) for L in Ls for e in (0, 1)) >= 0.05
+                    and not (-0.45 < Ls[0] < 0.0 and 1.95 < Ls[1] < 2.25)
+                ):
+                    break
+            draws.append(Ls)
+    return draws
+
+
+def test_solve_T_finds_each_stratified_T_and_only_candidates_that_reproduce_it():
+    # the 15 draws of seed 0, cycle 0 of the benchmark's tsolve workload: the
+    # generating T is among the candidates (to 1e-6), and every candidate
+    # gives back the phases to 1e-9
+    draws = _stratified_T(0, 0)
+    assert len(draws) == 15
+    for Ls in draws:
+        s = InputSet((0, 1), tuple(float(d) for d in phases_from_T((0, 1), Ls)))
+        cands = solve_T(s).candidates
+        assert any(max(abs(a - b) for a, b in zip(c.Ls, Ls)) < 1e-6 for c in cands), Ls
+        for cand in cands:
+            got = phases_from_T(s.ells, cand)
+            assert max(abs(math.remainder(g - d, math.pi)) for g, d in zip(got, s.deltas)) <= 1e-9
 
 
 def test_solve_T_zero_potential_shortcut():

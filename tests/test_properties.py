@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from ctinv import consistency
 from ctinv.cli import write_map_csv
 from ctinv.consistency import AdmissibilityMap, scan_zeros
-from ctinv.ctcore import InputSet, coeffs_to_T, expansion_coeffs, phases_from_T, solve_T
+from ctinv.ctcore import (
+    InputSet,
+    coeffs_to_T,
+    expansion_coeffs,
+    kappa_matrices,
+    phases_from_T,
+    solve_T,
+)
 from ctinv.errors import InadmissibleConfigurationError
 from ctinv.glm import RadialGrid, det_and_scale, solve_kernel
 from ctinv.specfun import RiccatiTables, cross_wronskian
@@ -94,6 +101,31 @@ def test_scan_through_shared_tables_equals_a_fresh_scan(Ls, radius_step):
     shared = consistency._scan(ells, np.array(sorted((L1, L2))), r_max, tables)
     assert shared == scan_zeros((0, 1), (L1, L2), r_max, step)
     assert shared.admissible == (shared.settled and not shared.zeros)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-0.45, 2.95), min_size=2, max_size=2))
+def test_located_zeros_have_the_closed_form_parity(Ls):
+    # S = {0, 1} over the probe box, 0.05 from S and apart, away from det M_cos = 0
+    Ls.sort()
+    ells = np.array([0.0, 1.0])
+    assume(Ls[1] - Ls[0] >= 0.05 and all(abs(L - ell) >= 0.05 for L in Ls for ell in ells))
+    m_cos = kappa_matrices(ells, Ls)[1]
+    assume(abs(np.linalg.det(m_cos)) > 1e-3 * np.prod(np.linalg.norm(m_cos, axis=1)))
+    parity = consistency._parity(ells, np.array(Ls))
+    verdict = scan_zeros(ells, Ls)
+    if verdict.zeros:
+        assert len(verdict.zeros) % 2 == (parity == "odd")
+    if verdict.admissible:
+        assert parity == "even"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.floats(-0.45, 5.0))
+def test_one_channel_parity_is_odd_where_the_cosine_is_negative(ell, big_l):
+    cos = math.cos((ell - big_l) * math.pi / 2)
+    assume(abs(big_l - ell) >= 0.05 and abs(cos) >= 0.05)
+    assert (consistency._parity(np.array([ell], float), np.array([big_l])) == "odd") == (cos < 0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

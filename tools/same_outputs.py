@@ -106,6 +106,9 @@ COMMANDS = [
      "--threads", "2", "--out", "map_tiles.csv"],
     ["map", "--ells", "0,1", "--box=-0.45,0.55,1.1,3.3", "--res", "0.2", "--lambda", "300",
      "--threads", "2", "--out", "map_tiles_box.csv"],
+    # the v_200 table of S saturates: every cell is an error, and the tables counts show
+    # what the sweep built before it
+    ["map", "--ells", "200,201", "--box=0,0.5,1,1.5", "--res", "0.5", "--out", "map_sat.csv"],
     # a 9x9 map whose --out cannot be written: one line on stderr, exit 1
     ["map", "--ells", "0,1", "--box=-0.4,1.6,-0.4,1.6", "--res", "0.25", "--threads", "2",
      "--out", "missing/x.csv"],
