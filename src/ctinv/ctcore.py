@@ -453,8 +453,8 @@ def asymptotic_data(s, t) -> AsymptoticData:
     componentwise over S; then
     alpha = (1/2) sum_L (a_L cos(L pi/2) - b_L sin(L pi/2)) and
     beta = -(1/2) sum_L (a_L sin(L pi/2) + b_L cos(L pi/2)).
-    The pair is validated once.  The condition of M_cos is not checked here:
-    solve_T reports it per candidate as `cos_cond`.
+    The condition of M_cos is not checked here: solve_T reports it per
+    candidate as `cos_cond`.
     """
     ells, Ls = _as_pair(s, t)
     m_cos = _kappa(ells, Ls)[1]
