@@ -43,7 +43,7 @@ from .ctcore import (
     solve_T,
     sum_rules,
 )
-from .errors import CtinvError, DomainError, ParseError, TailFitError
+from .errors import CtinvError, DomainError, InternalInconsistencyError, ParseError, TailFitError
 from .forward import SampledPotential, WoodsSaxon, extract_phase, phase_table
 from .glm import (
     PotentialProfile,
@@ -293,7 +293,7 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
     if profile.tail is not None:
         report[tail_key] = asdict(profile.tail)
     report["sum_rules"] = None
-    if phases is not None:
+    if phases is not None and report["tail_closed_form"] is not None:
         try:
             b_factors = [
                 extract_phase(
@@ -318,12 +318,13 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
 
 
 def _closed_forms(s, t) -> dict:
-    """Report entries that S and T give in closed form: tail amplitudes and first moment."""
-    asym = asymptotic_data(s, t)
-    return {
-        "tail_closed_form": {"alpha": asym.alpha, "beta": asym.beta},
-        "moment_closed_form": moment_closed_form(s, t),
-    }
+    """Closed-form entries: tail amplitudes (None, and a tail_note, at a singular M_cos), moment."""
+    try:
+        asym = asymptotic_data(s, t)
+        tail = {"tail_closed_form": {"alpha": asym.alpha, "beta": asym.beta}}
+    except InternalInconsistencyError as exc:
+        tail = {"tail_closed_form": None, "tail_note": str(exc)}
+    return {**tail, "moment_closed_form": moment_closed_form(s, t)}
 
 
 def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
@@ -334,23 +335,13 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
         "input": {"ells": list(input_set.ells), "deltas": list(input_set.deltas)},
         "grid": {"h": cfg.step, "lambda": cfg.lambda_max},
     }
-    solve = solve_T(
-        input_set,
-        seeds_per_axis=cfg.seeds_per_axis,
-        k_range=cfg.k_range,
-    )
+    solve = solve_T(input_set, seeds_per_axis=cfg.seeds_per_axis, k_range=cfg.k_range)
     report["zero_potential"] = solve.zero_potential
     if solve.zero_potential:
         grid = RadialGrid(cfg.step, cfg.lambda_max)
+        ells, tail = tuple(float(e) for e in input_set.ells), TailFit(0.0, 0.0, 0.0, 0.0)
         profile = PotentialProfile(
-            grid.r,
-            np.zeros_like(grid.r),
-            tuple(float(e) for e in input_set.ells),
-            (),
-            TailFit(0.0, 0.0, 0.0, 0.0),
-            cfg.step,
-            float(grid.r[-1]),
-            0.0,
+            grid.r, np.zeros_like(grid.r), ells, (), tail, cfg.step, float(grid.r[-1]), 0.0
         )
         report.update(candidates=[], chosen_T=None, moment_closed_form=0.0, moment_numeric=0.0)
     else:
@@ -411,15 +402,8 @@ def cmd_forward(args) -> tuple[int, dict | None]:
         grid = RadialGrid(cfg.step, float(r[-1]))
     out = _check_out(args.out or "phases.csv")
     table = phase_table(pot, range(args.ellmax + 1), grid)
-    write_phase_csv(
-        out,
-        table,
-        {
-            "potential": table.source,
-            "h": _fmt(grid.h),
-            "lambda": _fmt(grid.r[-1]),
-        },
-    )
+    meta = {"potential": table.source, "h": _fmt(grid.h), "lambda": _fmt(grid.r[-1])}
+    write_phase_csv(out, table, meta)
     report = {
         "potential": table.source,
         "grid": {"h": grid.h, "lambda": float(grid.r[-1])},

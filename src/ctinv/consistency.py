@@ -138,9 +138,10 @@ def _scan_det(ells, Ls, tables: RiccatiTables, n: int, det, scale):
     Only points beyond len(det) are evaluated, SCAN_BLOCK rows at a time, each
     determinant on its own, so the result equals one whole-grid evaluation bit for bit.
     """
-    sides = tables.halves(Ls, True, n), tables.halves(ells, False, n)
+    # S first: a saturating S fails before any u_L table of T is built
+    v_sides, u_sides = tables.halves(ells, False, n), tables.halves(Ls, True, n)
     blocks = [(det, scale)] + [
-        _det_scale(_glm_matrix(ells, Ls, *sides, slice(k, k + SCAN_BLOCK)))
+        _det_scale(_glm_matrix(ells, Ls, u_sides, v_sides, slice(k, k + SCAN_BLOCK)))
         for k in range(len(det), n, SCAN_BLOCK)
     ]
     return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])

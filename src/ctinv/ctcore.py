@@ -15,12 +15,14 @@ K+-_ell = sum_{ell'} [M_sin M_cos^{-1}]_{ell,ell'} exp(+-i(ell-ell') pi/2).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DomainError,
@@ -59,6 +61,11 @@ NEWTON_TOL_RESID = 1e-10
 DEDUPE_TOL = 1e-6
 SEEDS_PER_AXIS = 12
 K_RANGE = 3
+# then its lattice pass: step per |S| (none for |S| > 3), the max |residual| below
+# which a lattice minimum seeds Newton, and the rows per stacked residual call
+LATTICE_STEP = {2: 0.02, 3: 0.1}
+LATTICE_SEED_RESID = 0.1
+LATTICE_CHUNK = 2048
 
 
 def _ll1(x):
@@ -83,8 +90,7 @@ def reduce_phase(delta: float) -> float:
 def _wrap_pi(arr: np.ndarray) -> np.ndarray:
     """Vectorised principal-branch reduction modulo pi."""
     y = arr - np.round(arr / math.pi) * math.pi
-    y = np.where(y <= -0.5 * math.pi, y + math.pi, y)
-    return y
+    return np.where(y <= -0.5 * math.pi, y + math.pi, y)
 
 
 @dataclass(frozen=True)
@@ -234,9 +240,10 @@ def coeffs_to_T(s, coeffs) -> ShiftedSet:
 
 
 def _kappa(ells: np.ndarray, Ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M_sin and M_cos, stacked over the leading axes of Ls (..., |T|)."""
     half_pi = 0.5 * math.pi
-    diff = ells[:, None] - Ls[None, :]
-    den = _ll1(Ls)[None, :] - _ll1(ells)[:, None]
+    diff = ells[:, None] - Ls[..., None, :]
+    den = _ll1(Ls)[..., None, :] - _ll1(ells)[:, None]
     return np.sin(half_pi * diff) / den, np.cos(half_pi * diff) / den
 
 
@@ -244,8 +251,7 @@ def kappa_matrices(s, t) -> tuple[np.ndarray, np.ndarray]:
     """The sin and cos structure matrices (rows ell in S, columns L in T).
 
     Raises SingularConfigurationError when S and T collide (vanishing
-    denominator).  The condition of M_cos is not estimated here: solve_T
-    reports it once per candidate as `cos_cond` (see _cos_cond).
+    denominator).  solve_T reports cond(M_cos) per candidate (_cos_cond).
     """
     return _kappa(*_as_pair(s, t))
 
@@ -258,21 +264,24 @@ def phases_from_T(s, t) -> np.ndarray:
     deviation beyond 1e-6 in |ln|S|| / 2 (the imaginary part of delta)
     raises InternalInconsistencyError.
     """
-    return _phases(_as_ells(s), *kappa_matrices(s, t))
+    ells, Ls = _as_pair(s, t)
+    return _phases(ells, Ls[None])[0]
 
 
-def _phases(ells: np.ndarray, m_sin: np.ndarray, m_cos: np.ndarray) -> np.ndarray:
+def _phases(ells: np.ndarray, Ls: np.ndarray) -> np.ndarray:
+    """phases_from_T of each T stacked in Ls (N, |T|); raises if any one fails."""
+    m_sin, m_cos = _kappa(ells, Ls)
     try:
-        p = np.linalg.solve(m_cos.T, m_sin.T).T
+        p = np.linalg.solve(m_cos.swapaxes(-1, -2), m_sin.swapaxes(-1, -2)).swapaxes(-1, -2)
     except np.linalg.LinAlgError as exc:
         raise InternalInconsistencyError(f"cos structure matrix singular: {exc}") from exc
     half_pi = 0.5 * math.pi
     rel = ells[:, None] - ells[None, :]
-    k_plus = np.sum(p * np.exp(1j * half_pi * rel), axis=1)
-    k_minus = np.sum(p * np.exp(-1j * half_pi * rel), axis=1)
+    k_plus = (p * np.exp(1j * half_pi * rel)).sum(axis=-1)
+    k_minus = (p * np.exp(-1j * half_pi * rel)).sum(axis=-1)
     s_elem = (1.0 + 1j * k_plus) / (1.0 - 1j * k_minus)
     imag_delta = -0.5 * np.log(np.abs(s_elem))
-    if np.any(np.abs(imag_delta) > 1e-6):
+    if (np.abs(imag_delta) > 1e-6).any():
         raise InternalInconsistencyError(
             f"phase shifts not real: max |Im delta| = {np.max(np.abs(imag_delta)):.3g}"
         )
@@ -290,55 +299,49 @@ class TSolveResult:
     cos_cond: list[float] = field(default_factory=list)  # cond(M_cos) per candidate
 
 
-def _phase_residual(ells_arr: np.ndarray, deltas_arr: np.ndarray, Ls: np.ndarray):
-    """Wrapped phase mismatch for a trial T, or None when T is invalid."""
-    if np.any(Ls <= MIN_ORDER + 1e-9) or not np.all(np.isfinite(Ls)):
-        return None
-    srt = np.sort(Ls)
-    if len(Ls) > 1 and np.min(np.diff(srt)) < 1e-7:
-        return None
-    if np.min(np.abs(ells_arr[:, None] - Ls[None, :])) < 1e-7:
-        return None
-    # these guards are stricter than ShiftedSet's and _as_pair's, so the
-    # public phases_from_T would accept srt; skip its checks and cond()
+def _phase_residuals(ells_arr: np.ndarray, deltas_arr: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Wrapped phase mismatch of each trial T, a row of X (N, |S|); NaN rows for invalid T.
+
+    The guards are stricter than ShiftedSet's and _as_pair's: phases_from_T accepts each valid row.
+    """
+    srt = np.sort(X, axis=1)
+    ok = (np.isfinite(X) & (X > MIN_ORDER + 1e-9)).all(axis=1)
+    ok &= (srt[:, 1:] - srt[:, :-1] >= 1e-7).all(axis=1)
+    ok &= (np.abs(ells_arr[:, None] - X[:, None, :]) >= 1e-7).all(axis=(1, 2))
+    out = np.full(X.shape, np.nan)
     try:
-        deltas = _phases(ells_arr, *_kappa(ells_arr, srt))
-    except InternalInconsistencyError:
-        return None
-    return _wrap_pi(deltas - deltas_arr)
+        out[ok] = _wrap_pi(_phases(ells_arr, srt[ok]) - deltas_arr)
+    except InternalInconsistencyError:  # a singular M_cos or complex phases: row by row
+        for i in np.flatnonzero(ok):
+            with contextlib.suppress(InternalInconsistencyError):
+                out[i] = _wrap_pi(_phases(ells_arr, srt[i : i + 1])[0] - deltas_arr)
+    return out
 
 
 def _cos_cond(ells_arr: np.ndarray, candidates: list[ShiftedSet]) -> list[float]:
-    """Condition number of M_cos, once per candidate: the one place it is computed."""
-    return [float(np.linalg.cond(_kappa(ells_arr, np.asarray(c.Ls))[1])) for c in candidates]
+    """Condition number of M_cos per candidate, one stacked call: the one place it is computed."""
+    Ls = np.reshape([c.Ls for c in candidates], (len(candidates), len(ells_arr)))
+    return np.linalg.cond(_kappa(ells_arr, Ls)[1]).tolist()
 
 
 def _newton_seed(ells_arr, deltas_arr, seed):
-    """Damped Newton on the wrapped phase residual from one seed.
-
-    Returns (T or None, final residual inf-norm).
-    """
-    x = np.asarray(seed, dtype=float).copy()
-    f = _phase_residual(ells_arr, deltas_arr, x)
-    if f is None:
+    """Damped Newton on the wrapped phase residual from one seed: (T or None, final inf-norm)."""
+    x = np.asarray(seed, dtype=float)
+    f = _phase_residuals(ells_arr, deltas_arr, x[None])[0]
+    if np.isnan(f[0]):
         return None, math.inf
     fnorm = float(np.max(np.abs(f)))
     n = len(x)
+    h = 1e-6
+    shifts = h * np.eye(n)
     for _ in range(NEWTON_MAX_ITER):
         if fnorm < NEWTON_TOL_RESID:
             return x, fnorm
-        jac = np.empty((n, n))
-        h = 1e-6
-        for j in range(n):
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fp = _phase_residual(ells_arr, deltas_arr, xp)
-            fm = _phase_residual(ells_arr, deltas_arr, xm)
-            if fp is None or fm is None:
-                return None, fnorm
-            jac[:, j] = (fp - fm) / (2.0 * h)
+        # central differences: the 2n shifted T in one stacked call
+        fs = _phase_residuals(ells_arr, deltas_arr, np.concatenate((x + shifts, x - shifts)))
+        if np.isnan(fs).any():
+            return None, fnorm
+        jac = ((fs[:n] - fs[n:]) / (2.0 * h)).T
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -347,20 +350,40 @@ def _newton_seed(ells_arr, deltas_arr, seed):
         alpha = 1.0
         for _ in range(20):
             trial = x + alpha * step
-            ft = _phase_residual(ells_arr, deltas_arr, trial)
-            if ft is not None:
-                ftn = float(np.max(np.abs(ft)))
-                if ftn < fnorm:
-                    x, f, fnorm = trial, ft, ftn
-                    break
+            ft = _phase_residuals(ells_arr, deltas_arr, trial[None])[0]
+            ftn = float(np.max(np.abs(ft)))
+            if ftn < fnorm:  # never for a NaN row
+                x, f, fnorm = trial, ft, ftn
+                break
             alpha *= 0.5
         else:
             return None, fnorm
         if alpha * float(np.max(np.abs(step))) < NEWTON_TOL_STEP:
             break
-    if fnorm < NEWTON_TOL_RESID:
-        return x, fnorm
-    return None, fnorm
+    return (x if fnorm < NEWTON_TOL_RESID else None), fnorm
+
+
+def _lattice_seeds(ells_arr: np.ndarray, deltas_arr: np.ndarray, lo: float, hi: float):
+    """Local minima below LATTICE_SEED_RESID of max |phase residual| on a lattice in (lo, hi)^|S|.
+
+    Only ordered points L1 < L2 < ... are evaluated; the others, and invalid T, count as +inf.
+    """
+    n = len(ells_arr)
+    step = LATTICE_STEP[n]
+    axis = lo + step * np.arange(1, round((hi - lo) / step))
+    grid = np.full((len(axis),) * n, np.inf)
+    ordered = np.ones(grid.shape, dtype=bool)
+    for a, b in itertools.pairwise(np.ix_(*[axis] * n)):
+        ordered &= a < b
+    rows = np.flatnonzero(ordered)
+    for k in range(0, len(rows), LATTICE_CHUNK):
+        part = rows[k : k + LATTICE_CHUNK]
+        X = axis[np.stack(np.unravel_index(part, grid.shape), axis=1)]
+        grid.flat[part] = np.max(np.abs(_phase_residuals(ells_arr, deltas_arr, X)), axis=1)
+    grid[np.isnan(grid)] = np.inf
+    around = sliding_window_view(np.pad(grid, 1, constant_values=np.inf), (3,) * n)
+    minima = (grid <= around.min(axis=tuple(range(n, 2 * n)))) & (grid < LATTICE_SEED_RESID)
+    return axis[np.argwhere(minima)]
 
 
 def solve_T(
@@ -374,8 +397,11 @@ def solve_T(
     L = ell - 2 delta / pi + 2k; k runs over [-k_range, k_range] and
     invalid members (L <= -1/2 or colliding with S) are dropped.  For
     |S| >= 2 a damped Newton iteration runs from a lattice of ordered
-    seed tuples spanning (-1/2, max(S) + 3); converged solutions inside
-    that box are canonicalised in sorted order and de-duplicated.
+    seed tuples spanning (-1/2, max(S) + 3), then (|S| <= 3) from each
+    local minimum below LATTICE_SEED_RESID of the max |residual| on a
+    finer LATTICE_STEP lattice over that box; converged solutions inside
+    the box are canonicalised in sorted order and de-duplicated, the
+    first found kept.
 
     All phase shifts below 1e-12 in magnitude short-circuit to the zero
     potential: no T is needed and `zero_potential` is set.  A negative
@@ -394,42 +420,29 @@ def solve_T(
 
     if n == 1:
         ell = ells_arr[0]
-        delta = deltas_arr[0]
-        family = []
-        for k in range(-k_range, k_range + 1):
-            big_l = ell - 2.0 * delta / math.pi + 2.0 * k
-            if big_l > MIN_ORDER + 1e-12 and abs(big_l - ell) >= DISTINCT_TOL:
-                family.append(ShiftedSet((big_l,)))
-        return TSolveResult(
-            family, False, seeds_tried=len(family), cos_cond=_cos_cond(ells_arr, family)
-        )
+        branches = ell - 2.0 * deltas_arr[0] / math.pi + 2.0 * np.arange(-k_range, k_range + 1)
+        keep = (branches > MIN_ORDER + 1e-12) & (np.abs(branches - ell) >= DISTINCT_TOL)
+        family = [ShiftedSet((big_l,)) for big_l in branches[keep]]
+        return TSolveResult(family, False, [], len(family), _cos_cond(ells_arr, family))
 
     lo, hi = MIN_ORDER, float(max(input_set.ells)) + 3.0
     margin = 0.02 * (hi - lo)
     axis = np.linspace(lo + margin, hi - margin, seeds_per_axis)
     seeds = [np.array(c) for c in itertools.combinations(axis, n)]
+    if n in LATTICE_STEP:
+        seeds += list(_lattice_seeds(ells_arr, deltas_arr, lo, hi))
     candidates: list[np.ndarray] = []
     residuals: list[float] = []
     for seed in seeds:
         sol, resid = _newton_seed(ells_arr, deltas_arr, seed)
         residuals.append(resid)
-        if sol is None:
+        srt = None if sol is None else np.sort(sol)
+        if srt is None or srt[0] <= lo - 1e-9 or srt[-1] >= hi + 1e-9:
             continue
-        srt = np.sort(sol)
-        if srt[0] <= lo - 1e-9 or srt[-1] >= hi + 1e-9:
-            continue
-        if any(np.max(np.abs(srt - prev)) < DEDUPE_TOL for prev in candidates):
-            continue
-        candidates.append(srt)
-    candidates.sort(key=lambda arr: tuple(arr))
-    found = [ShiftedSet(tuple(arr)) for arr in candidates]
-    return TSolveResult(
-        found,
-        False,
-        seed_residuals=residuals,
-        seeds_tried=len(seeds),
-        cos_cond=_cos_cond(ells_arr, found),
-    )
+        if not any(np.max(np.abs(srt - prev)) < DEDUPE_TOL for prev in candidates):
+            candidates.append(srt)
+    found = [ShiftedSet(tuple(arr)) for arr in sorted(candidates, key=tuple)]
+    return TSolveResult(found, False, residuals, len(seeds), _cos_cond(ells_arr, found))
 
 
 @dataclass(frozen=True)
@@ -453,14 +466,16 @@ def asymptotic_data(s, t) -> AsymptoticData:
     componentwise over S; then
     alpha = (1/2) sum_L (a_L cos(L pi/2) - b_L sin(L pi/2)) and
     beta = -(1/2) sum_L (a_L sin(L pi/2) + b_L cos(L pi/2)).
-    The condition of M_cos is not checked here: solve_T reports it per
-    candidate as `cos_cond`.
+    A singular M_cos raises InternalInconsistencyError.
     """
     ells, Ls = _as_pair(s, t)
     m_cos = _kappa(ells, Ls)[1]
     half_pi = 0.5 * math.pi
-    a = np.linalg.solve(m_cos, np.cos(half_pi * ells))
-    b = np.linalg.solve(m_cos, np.sin(half_pi * ells))
+    try:
+        a = np.linalg.solve(m_cos, np.cos(half_pi * ells))
+        b = np.linalg.solve(m_cos, np.sin(half_pi * ells))
+    except np.linalg.LinAlgError as exc:
+        raise InternalInconsistencyError(f"cos structure matrix singular: {exc}") from exc
     cl = np.cos(half_pi * Ls)
     sl = np.sin(half_pi * Ls)
     alpha = 0.5 * float(np.sum(a * cl - b * sl))

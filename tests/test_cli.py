@@ -84,8 +84,8 @@ def test_check_unsettled_exit_4(capsys):
 
 
 def test_cos_cond_is_computed_once_per_candidate_and_reported(tmp_path, capsys, monkeypatch):
-    # one cond(M_cos) per candidate of ref2 (4) and one for check, each reported;
-    # one asymptotic_data solve per reconstructed report
+    # one cond(M_cos) per candidate of ref2 (4, in one stacked call) and one for
+    # check, each reported; one asymptotic_data solve per reconstructed report
     conds, solves = [], []
     cond, asym = np.linalg.cond, cli.asymptotic_data
     monkeypatch.setattr(np.linalg, "cond", lambda *a: conds.append(a) or cond(*a))
@@ -98,9 +98,11 @@ def test_cos_cond_is_computed_once_per_candidate_and_reported(tmp_path, capsys, 
     invert = ["invert", "--phases", str(phases), "--out", str(tmp_path / "p.csv")]
     code, out, _ = _run(capsys, base + invert)
     assert code == 0
-    assert (len(conds), len(solves)) == (4, 1)
+    # one stacked call: a stack of four M_cos, one per candidate
+    assert (len(conds), len(solves)) == (1, 1)
+    assert conds[0][0].shape == (4, 2, 2)
     cands = _report(out)["candidates"]
-    assert [c["cos_cond"] for c in cands] == [cond(*a) for a in conds]
+    assert [c["cos_cond"] for c in cands] == cond(*conds[0]).tolist()
     # two candidates of ref2 have an odd number of zeros; the admissible one is even
     assert [c["parity"] for c in cands if c["admissible"]] == ["even"]
     assert sum(c["parity"] == "odd" for c in cands) == 2
@@ -109,7 +111,7 @@ def test_cos_cond_is_computed_once_per_candidate_and_reported(tmp_path, capsys, 
     assert code == 0
     assert (len(conds), len(solves)) == (1, 1)
     rep = _report(out)
-    assert (rep["cos_cond"], rep["parity"]) == (cond(*conds[0]), "even")
+    assert (rep["cos_cond"], rep["parity"]) == (cond(*conds[0])[0], "even")
 
 
 def test_check_reports_an_ill_conditioned_M_cos_without_a_warning(capsys):
@@ -122,6 +124,22 @@ def test_check_reports_an_ill_conditioned_M_cos_without_a_warning(capsys):
     rep = _report(out)
     assert 1e12 < rep["cos_cond"] < 1e13
     assert rep["parity"] is None  # the sign of D(infinity) is not resolved
+
+
+def test_check_at_a_singular_M_cos_reports_no_tail_and_keeps_the_scan(capsys):
+    # det M_cos is 0 to rounding: no tail amplitudes, one line of why, and the
+    # scan verdict, cos_cond and parity as at any other T; the scan's exit code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["check", "--ells", "0,1", "--T=0.5,1.781264665819622", "--lambda", "30"]
+        code, out, err = _run(capsys, argv)
+    assert (code, err) == (4, "")
+    rep = _report(out)
+    note = "cos structure matrix singular: Singular matrix"
+    assert (rep["tail_closed_form"], rep["tail_note"], rep["phase_note"]) == (None, note, note)
+    assert (rep["settled"], rep["admissible"], rep["zeros"], rep["parity"]) == (False, False, [], None)
+    assert rep["cos_cond"] > 1e16
+    assert rep["moment_closed_form"] == pytest.approx(2.562529331639244, rel=1e-12)
 
 
 def test_invert_and_check_share_reconstruction(tmp_path, capsys):
@@ -331,7 +349,7 @@ def test_out_without_write_permission_fails_before_the_work(capsys, tmp_path, mo
     "phases, config, code",
     [
         ("0 0.9\n1 0.4\n", "", 3),  # both candidates carry a zero
-        ("0 0.4389\n1 0.1246\n", "seeds_per_axis = 2\n", 3),  # no candidate
+        ("0 1.4\n1 0\n", "seeds_per_axis = 2\n", 3),  # no candidate
         ("0 0.4\n1 0.02\n", "", 4),  # the one zero-free candidate does not settle
     ],
     ids=["zeros", "no_candidate", "unsettled"],
@@ -504,14 +522,15 @@ def test_invert_no_admissible_exit_3(tmp_path, capsys):
 
 
 def test_invert_without_candidate_reports_the_seeds_exit_3(tmp_path, capsys):
-    # a 2-point seed lattice on ref2 leaves one seed, and its Newton run does not converge
-    (tmp_path / "phases.txt").write_text("0 0.4389\n1 0.1246\n")
+    # a 2-point seed lattice leaves one seed, and the lattice minima add six; for
+    # delta = (1.4, 0) no Newton run from the seven converges
+    (tmp_path / "phases.txt").write_text("0 1.4\n1 0\n")
     (tmp_path / "run.cfg").write_text("seeds_per_axis = 2\n")
     argv = ["--config", str(tmp_path / "run.cfg"), "invert", "--phases", str(tmp_path / "phases.txt")]
     code, out, _ = _run(capsys, argv)
     rep = _report(out)
-    assert (code, rep["candidates"], rep["chosen_T"], rep["seeds_tried"]) == (3, [], None, 1)
-    assert rep["best_seed_residual"] == pytest.approx(1.5437502759, rel=1e-9)
+    assert (code, rep["candidates"], rep["chosen_T"], rep["seeds_tried"]) == (3, [], None, 7)
+    assert rep["best_seed_residual"] == pytest.approx(2.6548074914e-08, rel=1e-9)
 
 
 def test_invert_malformed_file_reports_line(tmp_path, capsys):

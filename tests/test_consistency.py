@@ -278,7 +278,8 @@ def test_map_records_each_cell_error_in_cell_order(monkeypatch, box, r_max, tile
 
 
 def test_map_evaluates_a_saturating_table_once(monkeypatch):
-    # every cell needs v_200, which saturates; the failed fill is remembered
+    # every cell needs v_200, which saturates; the failed fill is remembered, and
+    # the tables of S come first, so no u_L table of T is ever built
     fills = []
 
     def counting(lams, x, regular, *args):
@@ -291,7 +292,8 @@ def test_map_evaluates_a_saturating_table_once(monkeypatch):
         amap = admissibility_map((200, 201), (0.0, 0.5, 1.0, 1.5), 0.5, threads=threads)
         assert len(amap.errors) == 4
         assert fills.count(((200.0,), False)) == 1
-        assert amap.tables == {"filled": 4, "bessel_points": 4 * 3 * 41200, "most_live": 4}
+        assert not any(regular for _, regular in fills)
+        assert amap.tables == {"filled": 0, "bessel_points": 0, "most_live": 0}
 
 
 def test_map_sweep_validates_S_and_T_a_fixed_number_of_times(monkeypatch):

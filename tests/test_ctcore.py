@@ -9,7 +9,9 @@ import pytest
 from scipy import optimize
 
 from ctinv.ctcore import (
-    _phase_residual,
+    _kappa,
+    _phase_residuals,
+    _phases,
     _wrap_pi,
     InputSet,
     ShiftedSet,
@@ -183,13 +185,24 @@ def _stratified_T(seed: int, cycle: int) -> list[list[float]]:
     return draws
 
 
+# T that the 12-per-axis seeds alone miss, found from lattice minima: cell00 of
+# (seed 0, cycle 1) and of (seed 12, cycle 2) of the tsolve workload, whose L1 lies
+# below the lowest seed value -0.41, and perfbench's KNOWN_MISS_T
+LATTICE_ONLY_T = [
+    [-0.44860088384095076, -0.2694741443101721],
+    [-0.4470849171423025, -0.3189875926111095],
+    [-0.11018738628146602, 2.0809271650807553],
+]
+
+
 def test_solve_T_finds_each_stratified_T_and_only_candidates_that_reproduce_it():
-    # the 15 draws of seed 0, cycle 0 of the benchmark's tsolve workload: the
-    # generating T is among the candidates (to 1e-6), and every candidate
-    # gives back the phases to 1e-9
+    # the 15 draws of seed 0, cycle 0 of the benchmark's tsolve workload and the
+    # three LATTICE_ONLY_T: the generating T is among the candidates (to 1e-6),
+    # and every candidate gives back the phases to 1e-9
     draws = _stratified_T(0, 0)
     assert len(draws) == 15
-    for Ls in draws:
+    assert [_stratified_T(0, 1)[0], _stratified_T(12, 2)[0]] == LATTICE_ONLY_T[:2]
+    for Ls in draws + LATTICE_ONLY_T:
         s = InputSet((0, 1), tuple(float(d) for d in phases_from_T((0, 1), Ls)))
         cands = solve_T(s).candidates
         assert any(max(abs(a - b) for a, b in zip(c.Ls, Ls)) < 1e-6 for c in cands), Ls
@@ -205,12 +218,22 @@ def test_solve_T_zero_potential_shortcut():
 
 
 def test_solve_T_empty_with_diagnostics():
-    # a lattice too coarse to reach any solution still reports per-seed residuals
-    s = InputSet((0, 1), (0.4389, 0.1246))
+    # no seed converges for delta = (1.4, 0): neither the one seed of a 2-point
+    # lattice nor the lattice minima; each seed still reports its residual
+    s = InputSet((0, 1), (1.4, 0.0))
     res = solve_T(s, seeds_per_axis=2)
     assert res.candidates == []
-    assert res.seeds_tried > 0
+    assert res.seeds_tried > 1
     assert len(res.seed_residuals) == res.seeds_tried
+
+
+def test_lattice_minima_seed_what_a_coarse_seed_lattice_misses():
+    # ref2 at 2 seeds per axis: the one lattice seed does not converge, the
+    # lattice minima reach the physical T (-0.3056, 0.9295)
+    res = solve_T(InputSet((0, 1), (0.4389, 0.1246)), seeds_per_axis=2)
+    assert res.seed_residuals[0] == pytest.approx(1.5437502759, rel=1e-9)
+    assert res.seeds_tried == len(res.seed_residuals) > 1
+    assert any(np.max(np.abs(np.array(c.Ls) - (-0.3056, 0.9295))) < 1e-3 for c in res.candidates)
 
 
 def test_asymptotic_data_solves_systems():
@@ -337,6 +360,10 @@ def test_cos_cond_per_candidate():
             assert cond == np.linalg.cond(kappa_matrices(s, t)[1])
 
 
+# S = {0, 1}: det M_cos vanishes to rounding, and phases_from_T raises
+SINGULAR_COS_T = (0.5, 1.781264665819622)
+
+
 def _public_residual(ells, deltas, trial):
     """The Newton residual through the public, checked functions."""
     srt = np.sort(trial)
@@ -351,22 +378,31 @@ def _public_residual(ells, deltas, trial):
 
 
 def test_phase_residual_matches_public_path(monkeypatch):
+    # stacks of one trial per kind, row by row against the public path; every
+    # other |S| = 2 stack also holds a T whose M_cos is singular, so that stack
+    # falls back to one row at a time
     rng = np.random.default_rng(20)
-    trials = []
+    stacks = []
     for ells in ((0.0, 1.0), (0.0, 1.0, 2.0)):
         ells = np.array(ells)
-        for k in range(200):
-            trial = rng.uniform(-0.49, ells[-1] + 3.0, len(ells))
-            if k % 4 == 1:
-                trial[0] = -0.5 + rng.uniform(0.0, 2e-9)  # at the order floor
-            elif k % 4 == 2:
-                trial[1] = trial[0] + rng.uniform(0.0, 1e-7)  # near-duplicate L
-            elif k % 4 == 3:
-                trial[-1] = rng.choice(ells) + rng.uniform(-1e-7, 1e-7)  # L on S
-            trials.append((ells, rng.uniform(-1.5, 1.5, len(ells)), trial))
-    expected = [_public_residual(*args) for args in trials]
-    assert sum(e is None for e in expected) >= 200
-    assert sum(e is not None for e in expected) >= 100
+        for b in range(50):
+            rows = []
+            for k in range(4):
+                trial = rng.uniform(-0.49, ells[-1] + 3.0, len(ells))
+                if k == 1:
+                    trial[0] = -0.5 + rng.uniform(0.0, 2e-9)  # at the order floor
+                elif k == 2:
+                    trial[1] = trial[0] + rng.uniform(0.0, 1e-7)  # near-duplicate L
+                elif k == 3:
+                    trial[-1] = rng.choice(ells) + rng.uniform(-1e-7, 1e-7)  # L on S
+                rows.append(trial)
+            if len(ells) == 2 and b % 2:
+                rows.append(np.array(SINGULAR_COS_T))
+            stacks.append((ells, rng.uniform(-1.5, 1.5, len(ells)), np.array(rows)))
+    expected = [[_public_residual(ells, deltas, t) for t in X] for ells, deltas, X in stacks]
+    flat = [e for rows in expected for e in rows]
+    assert sum(e is None for e in flat) >= 200
+    assert sum(e is not None for e in flat) >= 100
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the Newton residual must not run cond() or catch warnings")
@@ -374,7 +410,26 @@ def test_phase_residual_matches_public_path(monkeypatch):
     with monkeypatch.context() as patch:  # undone before pytest reports
         patch.setattr(np.linalg, "cond", forbidden)
         patch.setattr(warnings, "catch_warnings", forbidden)
-        residuals = [_phase_residual(*args) for args in trials]
-    for got, want in zip(residuals, expected):
-        assert (got is None) == (want is None)
-        assert want is None or np.array_equal(got, want)
+        residuals = [_phase_residuals(*args) for args in stacks]
+    for got, want, (_, _, X) in zip(residuals, expected, stacks):
+        assert got.shape == X.shape
+        for row, w in zip(got, want):
+            assert np.all(np.isnan(row)) if w is None else np.array_equal(row, w)
+
+
+def test_stacked_kappa_and_phases_rows_equal_single_calls():
+    # 300 random (S, T), |S| = 2 and 3, each T one row of a stack of three
+    rng = np.random.default_rng(28)
+    for trial in range(300):
+        n = 2 + trial % 2
+        ells = np.sort(rng.choice(6, n, replace=False)).astype(float)
+        X = np.sort(rng.uniform(-0.45, ells[-1] + 3.0, (3, n)), axis=1)
+        apart = np.min(np.diff(X, axis=1), axis=1) > 1e-3
+        X = X[apart & (np.min(np.abs(ells[:, None, None] - X), axis=(0, 2)) > 1e-3)]
+        m_sin, m_cos = _kappa(ells, X)
+        phases = _phases(ells, X)
+        for k, Ls in enumerate(X):
+            one_sin, one_cos = _kappa(ells, Ls)
+            assert np.array_equal(m_sin[k], one_sin) and np.array_equal(m_cos[k], one_cos)
+            assert np.array_equal(phases[k], _phases(ells, Ls[None])[0])
+            assert np.array_equal(phases[k], phases_from_T(ells, Ls))

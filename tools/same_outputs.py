@@ -55,6 +55,9 @@ PHASE_FILES = {
     "nan.csv": "r,q\n0.1,-1\n0.2,nan\n0.3,-0.9\n0.4,-0.8\n",
     # the phases of `forward --ws 1,1,0.4` for ell = 0, 1, 2, at full precision
     "ws3.txt": "0 0.4389083676698257\n1 0.12458338498661448\n2 0.02111002717304025\n",
+    # the phases of T = (-0.11018738628146602, 2.0809271650807553) for S = {0, 1}
+    "known_miss.txt": "0 -0.2814519031854882\n1 1.4481640694459839\n",
+    "no_cand.txt": "0 1.4\n1 0\n",
 }
 
 # Run in order: `forward --potential` reads the CSV that `invert` wrote.
@@ -65,8 +68,12 @@ COMMANDS = [
     ["invert", "--phases", "no_t.txt", "--out", "no_t.csv"],
     # too short for a tail fit: no tail in the CSV, a moment_note in the report
     ["invert", "--phases", "ref1.txt", "--lambda", "10", "--out", "short.csv"],
-    # a 2-point seed lattice finds no T: exit 3 with best_seed_residual
+    # a 2-point seed lattice: its one seed does not converge, the lattice minima do
     ["--config", "seeds2.cfg", "invert", "--phases", "ref2.txt"],
+    # no seed converges: exit 3 with seeds_tried and best_seed_residual
+    ["--config", "seeds2.cfg", "invert", "--phases", "no_cand.txt"],
+    # a generating T that only a lattice-minimum seed reaches
+    ["invert", "--phases", "known_miss.txt", "--out", "known_miss.csv"],
     ["roundtrip", "--phases", "ref1.txt"],
     ["roundtrip", "--phases", "ref2.txt", "--out", "ref2_rt.csv"],
     ["roundtrip", "--phases", "zero.txt"],
@@ -84,6 +91,8 @@ COMMANDS = [
     ["check", "--ells", "0.5", "--T", "0.2"],
     ["check", "--ells", "0", "--T", "0"],
     ["check", "--ells", "0,1", "--T=0.5,-0.2"],
+    # det M_cos is 0 to rounding: no tail amplitudes, the scan verdict kept
+    ["check", "--ells", "0,1", "--T=0.5,1.781264665819622", "--lambda", "30"],
     ["forward", "--ws", "1,1,0.4", "--ellmax", "8", "--out", "ws.csv"],
     # a repulsive barrier: phi passes 1e250 inside it (the integrator's
     # rescale branch) and leaves it near 1e183 (the scaled extraction fit)
