@@ -318,7 +318,10 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
 
 
 def _closed_forms(s, t) -> dict:
-    """Closed-form entries: tail amplitudes (None, and a tail_note, at a singular M_cos), moment."""
+    """Report entries that S and T give in closed form: tail amplitudes and first moment.
+
+    At a singular M_cos the tail amplitudes are None and a tail_note says why.
+    """
     try:
         asym = asymptotic_data(s, t)
         tail = {"tail_closed_form": {"alpha": asym.alpha, "beta": asym.beta}}
@@ -335,13 +338,23 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
         "input": {"ells": list(input_set.ells), "deltas": list(input_set.deltas)},
         "grid": {"h": cfg.step, "lambda": cfg.lambda_max},
     }
-    solve = solve_T(input_set, seeds_per_axis=cfg.seeds_per_axis, k_range=cfg.k_range)
+    solve = solve_T(
+        input_set,
+        seeds_per_axis=cfg.seeds_per_axis,
+        k_range=cfg.k_range,
+    )
     report["zero_potential"] = solve.zero_potential
     if solve.zero_potential:
         grid = RadialGrid(cfg.step, cfg.lambda_max)
-        ells, tail = tuple(float(e) for e in input_set.ells), TailFit(0.0, 0.0, 0.0, 0.0)
         profile = PotentialProfile(
-            grid.r, np.zeros_like(grid.r), ells, (), tail, cfg.step, float(grid.r[-1]), 0.0
+            grid.r,
+            np.zeros_like(grid.r),
+            tuple(float(e) for e in input_set.ells),
+            (),
+            TailFit(0.0, 0.0, 0.0, 0.0),
+            cfg.step,
+            float(grid.r[-1]),
+            0.0,
         )
         report.update(candidates=[], chosen_T=None, moment_closed_form=0.0, moment_numeric=0.0)
     else:
@@ -402,8 +415,15 @@ def cmd_forward(args) -> tuple[int, dict | None]:
         grid = RadialGrid(cfg.step, float(r[-1]))
     out = _check_out(args.out or "phases.csv")
     table = phase_table(pot, range(args.ellmax + 1), grid)
-    meta = {"potential": table.source, "h": _fmt(grid.h), "lambda": _fmt(grid.r[-1])}
-    write_phase_csv(out, table, meta)
+    write_phase_csv(
+        out,
+        table,
+        {
+            "potential": table.source,
+            "h": _fmt(grid.h),
+            "lambda": _fmt(grid.r[-1]),
+        },
+    )
     report = {
         "potential": table.source,
         "grid": {"h": grid.h, "lambda": float(grid.r[-1])},

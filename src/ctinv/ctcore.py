@@ -61,9 +61,11 @@ NEWTON_TOL_RESID = 1e-10
 DEDUPE_TOL = 1e-6
 SEEDS_PER_AXIS = 12
 K_RANGE = 3
-# then its lattice pass: step per |S| (none for |S| > 3), the max |residual| below
-# which a lattice minimum seeds Newton, and the rows per stacked residual call
-LATTICE_STEP = {2: 0.02, 3: 0.1}
+# then, for |S| = 2, its lattice pass: the step, coarsened so that no axis holds
+# more than LATTICE_MAX_POINTS points, the max |residual| below which a lattice
+# minimum seeds Newton, and the rows per stacked residual call
+LATTICE_STEP = 0.02
+LATTICE_MAX_POINTS = 400
 LATTICE_SEED_RESID = 0.1
 LATTICE_CHUNK = 2048
 
@@ -90,7 +92,8 @@ def reduce_phase(delta: float) -> float:
 def _wrap_pi(arr: np.ndarray) -> np.ndarray:
     """Vectorised principal-branch reduction modulo pi."""
     y = arr - np.round(arr / math.pi) * math.pi
-    return np.where(y <= -0.5 * math.pi, y + math.pi, y)
+    y = np.where(y <= -0.5 * math.pi, y + math.pi, y)
+    return y
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,8 @@ def kappa_matrices(s, t) -> tuple[np.ndarray, np.ndarray]:
     """The sin and cos structure matrices (rows ell in S, columns L in T).
 
     Raises SingularConfigurationError when S and T collide (vanishing
-    denominator).  solve_T reports cond(M_cos) per candidate (_cos_cond).
+    denominator).  The condition of M_cos is not estimated here: solve_T
+    reports it once per candidate as `cos_cond` (see _cos_cond).
     """
     return _kappa(*_as_pair(s, t))
 
@@ -277,11 +281,11 @@ def _phases(ells: np.ndarray, Ls: np.ndarray) -> np.ndarray:
         raise InternalInconsistencyError(f"cos structure matrix singular: {exc}") from exc
     half_pi = 0.5 * math.pi
     rel = ells[:, None] - ells[None, :]
-    k_plus = (p * np.exp(1j * half_pi * rel)).sum(axis=-1)
-    k_minus = (p * np.exp(-1j * half_pi * rel)).sum(axis=-1)
+    k_plus = np.sum(p * np.exp(1j * half_pi * rel), axis=-1)
+    k_minus = np.sum(p * np.exp(-1j * half_pi * rel), axis=-1)
     s_elem = (1.0 + 1j * k_plus) / (1.0 - 1j * k_minus)
     imag_delta = -0.5 * np.log(np.abs(s_elem))
-    if (np.abs(imag_delta) > 1e-6).any():
+    if np.any(np.abs(imag_delta) > 1e-6):
         raise InternalInconsistencyError(
             f"phase shifts not real: max |Im delta| = {np.max(np.abs(imag_delta)):.3g}"
         )
@@ -325,8 +329,11 @@ def _cos_cond(ells_arr: np.ndarray, candidates: list[ShiftedSet]) -> list[float]
 
 
 def _newton_seed(ells_arr, deltas_arr, seed):
-    """Damped Newton on the wrapped phase residual from one seed: (T or None, final inf-norm)."""
-    x = np.asarray(seed, dtype=float)
+    """Damped Newton on the wrapped phase residual from one seed.
+
+    Returns (T or None, final residual inf-norm).
+    """
+    x = np.asarray(seed, dtype=float).copy()
     f = _phase_residuals(ells_arr, deltas_arr, x[None])[0]
     if np.isnan(f[0]):
         return None, math.inf
@@ -360,29 +367,27 @@ def _newton_seed(ells_arr, deltas_arr, seed):
             return None, fnorm
         if alpha * float(np.max(np.abs(step))) < NEWTON_TOL_STEP:
             break
-    return (x if fnorm < NEWTON_TOL_RESID else None), fnorm
+    if fnorm < NEWTON_TOL_RESID:
+        return x, fnorm
+    return None, fnorm
 
 
 def _lattice_seeds(ells_arr: np.ndarray, deltas_arr: np.ndarray, lo: float, hi: float):
-    """Local minima below LATTICE_SEED_RESID of max |phase residual| on a lattice in (lo, hi)^|S|.
+    """Local minima below LATTICE_SEED_RESID of max |phase residual| on a lattice in (lo, hi)^2.
 
-    Only ordered points L1 < L2 < ... are evaluated; the others, and invalid T, count as +inf.
+    Only ordered points L1 < L2 are evaluated; the others, and invalid T, count as +inf.
     """
-    n = len(ells_arr)
-    step = LATTICE_STEP[n]
+    step = max(LATTICE_STEP, (hi - lo) / LATTICE_MAX_POINTS)
     axis = lo + step * np.arange(1, round((hi - lo) / step))
-    grid = np.full((len(axis),) * n, np.inf)
-    ordered = np.ones(grid.shape, dtype=bool)
-    for a, b in itertools.pairwise(np.ix_(*[axis] * n)):
-        ordered &= a < b
-    rows = np.flatnonzero(ordered)
-    for k in range(0, len(rows), LATTICE_CHUNK):
-        part = rows[k : k + LATTICE_CHUNK]
-        X = axis[np.stack(np.unravel_index(part, grid.shape), axis=1)]
-        grid.flat[part] = np.max(np.abs(_phase_residuals(ells_arr, deltas_arr, X)), axis=1)
+    grid = np.full((len(axis), len(axis)), np.inf)
+    i, j = np.triu_indices(len(axis), 1)
+    for k in range(0, len(i), LATTICE_CHUNK):
+        part = slice(k, k + LATTICE_CHUNK)
+        X = np.stack((axis[i[part]], axis[j[part]]), axis=1)
+        grid[i[part], j[part]] = np.max(np.abs(_phase_residuals(ells_arr, deltas_arr, X)), axis=1)
     grid[np.isnan(grid)] = np.inf
-    around = sliding_window_view(np.pad(grid, 1, constant_values=np.inf), (3,) * n)
-    minima = (grid <= around.min(axis=tuple(range(n, 2 * n)))) & (grid < LATTICE_SEED_RESID)
+    around = sliding_window_view(np.pad(grid, 1, constant_values=np.inf), (3, 3))
+    minima = (grid <= around.min(axis=(2, 3))) & (grid < LATTICE_SEED_RESID)
     return axis[np.argwhere(minima)]
 
 
@@ -397,11 +402,11 @@ def solve_T(
     L = ell - 2 delta / pi + 2k; k runs over [-k_range, k_range] and
     invalid members (L <= -1/2 or colliding with S) are dropped.  For
     |S| >= 2 a damped Newton iteration runs from a lattice of ordered
-    seed tuples spanning (-1/2, max(S) + 3), then (|S| <= 3) from each
+    seed tuples spanning (-1/2, max(S) + 3), then (|S| = 2) from each
     local minimum below LATTICE_SEED_RESID of the max |residual| on a
-    finer LATTICE_STEP lattice over that box; converged solutions inside
-    the box are canonicalised in sorted order and de-duplicated, the
-    first found kept.
+    finer lattice over that box (step LATTICE_STEP, at most
+    LATTICE_MAX_POINTS per axis); converged solutions inside the box are
+    canonicalised in sorted order and de-duplicated, the first found kept.
 
     All phase shifts below 1e-12 in magnitude short-circuit to the zero
     potential: no T is needed and `zero_potential` is set.  A negative
@@ -420,29 +425,44 @@ def solve_T(
 
     if n == 1:
         ell = ells_arr[0]
-        branches = ell - 2.0 * deltas_arr[0] / math.pi + 2.0 * np.arange(-k_range, k_range + 1)
-        keep = (branches > MIN_ORDER + 1e-12) & (np.abs(branches - ell) >= DISTINCT_TOL)
-        family = [ShiftedSet((big_l,)) for big_l in branches[keep]]
-        return TSolveResult(family, False, [], len(family), _cos_cond(ells_arr, family))
+        delta = deltas_arr[0]
+        family = []
+        for k in range(-k_range, k_range + 1):
+            big_l = ell - 2.0 * delta / math.pi + 2.0 * k
+            if big_l > MIN_ORDER + 1e-12 and abs(big_l - ell) >= DISTINCT_TOL:
+                family.append(ShiftedSet((big_l,)))
+        return TSolveResult(
+            family, False, seeds_tried=len(family), cos_cond=_cos_cond(ells_arr, family)
+        )
 
     lo, hi = MIN_ORDER, float(max(input_set.ells)) + 3.0
     margin = 0.02 * (hi - lo)
     axis = np.linspace(lo + margin, hi - margin, seeds_per_axis)
     seeds = [np.array(c) for c in itertools.combinations(axis, n)]
-    if n in LATTICE_STEP:
+    if n == 2:
         seeds += list(_lattice_seeds(ells_arr, deltas_arr, lo, hi))
     candidates: list[np.ndarray] = []
     residuals: list[float] = []
     for seed in seeds:
         sol, resid = _newton_seed(ells_arr, deltas_arr, seed)
         residuals.append(resid)
-        srt = None if sol is None else np.sort(sol)
-        if srt is None or srt[0] <= lo - 1e-9 or srt[-1] >= hi + 1e-9:
+        if sol is None:
             continue
-        if not any(np.max(np.abs(srt - prev)) < DEDUPE_TOL for prev in candidates):
-            candidates.append(srt)
-    found = [ShiftedSet(tuple(arr)) for arr in sorted(candidates, key=tuple)]
-    return TSolveResult(found, False, residuals, len(seeds), _cos_cond(ells_arr, found))
+        srt = np.sort(sol)
+        if srt[0] <= lo - 1e-9 or srt[-1] >= hi + 1e-9:
+            continue
+        if any(np.max(np.abs(srt - prev)) < DEDUPE_TOL for prev in candidates):
+            continue
+        candidates.append(srt)
+    candidates.sort(key=lambda arr: tuple(arr))
+    found = [ShiftedSet(tuple(arr)) for arr in candidates]
+    return TSolveResult(
+        found,
+        False,
+        seed_residuals=residuals,
+        seeds_tried=len(seeds),
+        cos_cond=_cos_cond(ells_arr, found),
+    )
 
 
 @dataclass(frozen=True)

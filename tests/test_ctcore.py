@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -234,6 +236,23 @@ def test_lattice_minima_seed_what_a_coarse_seed_lattice_misses():
     assert res.seed_residuals[0] == pytest.approx(1.5437502759, rel=1e-9)
     assert res.seeds_tried == len(res.seed_residuals) > 1
     assert any(np.max(np.abs(np.array(c.Ls) - (-0.3056, 0.9295))) < 1e-3 for c in res.candidates)
+
+
+def test_lattice_pass_stays_bounded_at_a_large_ell():
+    # S = {0, 60}: the box (-1/2, 63) at step 0.02 would be 3175 points a side
+    # (1e7 cells, 80 MB per float grid); the step coarsens to 400 points a side
+    s = InputSet((0, 60), (0.3, 0.1))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        res = solve_T(s)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert elapsed < 30.0
+    assert res.candidates
 
 
 def test_asymptotic_data_solves_systems():
