@@ -359,12 +359,14 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
         report.update(candidates=[], chosen_T=None, moment_closed_form=0.0, moment_numeric=0.0)
     else:
         if not solve.candidates:
-            finite = [x for x in solve.seed_residuals if math.isfinite(x)]
+            # every run that converged left the box, and those runs hold the smallest residuals
+            rest = sorted(filter(math.isfinite, solve.seed_residuals))[solve.seeds_out_of_box :]
             report.update(
                 candidates=[],
                 chosen_T=None,
                 seeds_tried=solve.seeds_tried,
-                best_seed_residual=min(finite) if finite else None,
+                seeds_out_of_box=solve.seeds_out_of_box,
+                best_seed_residual=rest[0] if rest else None,
             )
             return EXIT_NO_ADMISSIBLE, report, None
         sel = select_physical(input_set, solve.candidates, resolution=cfg.scan_resolution)

@@ -52,12 +52,14 @@ __all__ = [
 
 DISTINCT_TOL = 1e-9
 MIN_ORDER = -0.5
-# Newton search of solve_T: iteration cap, step and residual tolerances, the
-# distance below which two solutions count as one, and the default seeding
-# (lattice points per axis for |S| >= 2, branch range k for |S| = 1)
+# Newton search of solve_T: iteration cap, step and residual tolerances, central-difference step,
+# the step factors tried in turn for descent, the distance below which two solutions count as one,
+# and the default seeding (lattice points per axis for |S| >= 2, branch range k for |S| = 1)
 NEWTON_MAX_ITER = 60
 NEWTON_TOL_STEP = 1e-12
 NEWTON_TOL_RESID = 1e-10
+NEWTON_FD_STEP = 1e-6
+NEWTON_HALVINGS = 0.5 ** np.arange(20)
 DEDUPE_TOL = 1e-6
 SEEDS_PER_AXIS = 12
 K_RANGE = 3
@@ -301,6 +303,7 @@ class TSolveResult:
     seed_residuals: list[float] = field(default_factory=list)
     seeds_tried: int = 0
     cos_cond: list[float] = field(default_factory=list)  # cond(M_cos) per candidate
+    seeds_out_of_box: int = 0  # Newton runs that converged outside the seed box
 
 
 def _phase_residuals(ells_arr: np.ndarray, deltas_arr: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -328,48 +331,46 @@ def _cos_cond(ells_arr: np.ndarray, candidates: list[ShiftedSet]) -> list[float]
     return np.linalg.cond(_kappa(ells_arr, Ls)[1]).tolist()
 
 
-def _newton_seed(ells_arr, deltas_arr, seed):
-    """Damped Newton on the wrapped phase residual from one seed.
+def _newton(ells_arr, deltas_arr, X):
+    """Damped Newton on the wrapped phase residual from all seeds, rows of X (N, |S|), in lockstep.
 
-    Returns (T or None, final residual inf-norm).
+    Returns the rows reached and their residual inf-norms (inf for an invalid seed); a row has
+    converged iff its norm < NEWTON_TOL_RESID.  Each row takes the path of a run on its own.
     """
-    x = np.asarray(seed, dtype=float).copy()
-    f = _phase_residuals(ells_arr, deltas_arr, x[None])[0]
-    if np.isnan(f[0]):
-        return None, math.inf
-    fnorm = float(np.max(np.abs(f)))
-    n = len(x)
-    h = 1e-6
-    shifts = h * np.eye(n)
+    x = np.array(X, dtype=float)
+    f = _phase_residuals(ells_arr, deltas_arr, x)
+    run = ~np.isnan(f[:, 0])
+    fnorm = np.where(run, np.max(np.abs(f), axis=1), math.inf)
+    n = x.shape[1]
+    shifts = NEWTON_FD_STEP * np.eye(n)
     for _ in range(NEWTON_MAX_ITER):
-        if fnorm < NEWTON_TOL_RESID:
-            return x, fnorm
-        # central differences: the 2n shifted T in one stacked call
-        fs = _phase_residuals(ells_arr, deltas_arr, np.concatenate((x + shifts, x - shifts)))
-        if np.isnan(fs).any():
-            return None, fnorm
-        jac = ((fs[:n] - fs[n:]) / (2.0 * h)).T
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None, fnorm
-        # Backtracking: halve the step until the residual norm drops.
-        alpha = 1.0
-        for _ in range(20):
-            trial = x + alpha * step
-            ft = _phase_residuals(ells_arr, deltas_arr, trial[None])[0]
-            ftn = float(np.max(np.abs(ft)))
-            if ftn < fnorm:  # never for a NaN row
-                x, f, fnorm = trial, ft, ftn
-                break
-            alpha *= 0.5
-        else:
-            return None, fnorm
-        if alpha * float(np.max(np.abs(step))) < NEWTON_TOL_STEP:
+        rows = np.flatnonzero(run & ~(fnorm < NEWTON_TOL_RESID))
+        if not rows.size:
             break
-    if fnorm < NEWTON_TOL_RESID:
-        return x, fnorm
-    return None, fnorm
+        xr = x[rows]
+        # central differences: the 2n shifted T of each row in one stacked call
+        fd = np.concatenate((xr[:, None] + shifts, xr[:, None] - shifts), axis=1)
+        fs = _phase_residuals(ells_arr, deltas_arr, fd.reshape(-1, n)).reshape(-1, 2 * n, n)
+        jac = ((fs[:, :n] - fs[:, n:]) / (2.0 * NEWTON_FD_STEP)).swapaxes(1, 2)
+        step = np.full(xr.shape, np.nan)  # left NaN for a NaN or singular jac: nothing descends
+        ok = ~np.isnan(fs).any(axis=(1, 2))
+        try:
+            step[ok] = np.linalg.solve(jac[ok], -f[rows[ok], :, None])[..., 0]
+        except np.linalg.LinAlgError:  # a singular Jacobian: row by row
+            for i in np.flatnonzero(ok):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    step[i] = np.linalg.solve(jac[i], -f[rows[i]])
+        # every halving of each step in one stacked call; a row takes the first that descends
+        trial = xr[:, None] + NEWTON_HALVINGS[:, None] * step[:, None]
+        ft = _phase_residuals(ells_arr, deltas_arr, trial.reshape(-1, n)).reshape(trial.shape)
+        ftn = np.max(np.abs(ft), axis=2)
+        lower = ftn < fnorm[rows, None]  # never for a NaN row
+        run[rows] = False
+        down = lower.any(axis=1)
+        rows, m = rows[down], np.argmax(lower[down], axis=1)
+        x[rows], f[rows], fnorm[rows] = trial[down, m], ft[down, m], ftn[down, m]
+        run[rows] = NEWTON_HALVINGS[m] * np.max(np.abs(step[down]), axis=1) >= NEWTON_TOL_STEP
+    return x, fnorm
 
 
 def _lattice_seeds(ells_arr: np.ndarray, deltas_arr: np.ndarray, lo: float, hi: float):
@@ -402,11 +403,12 @@ def solve_T(
     L = ell - 2 delta / pi + 2k; k runs over [-k_range, k_range] and
     invalid members (L <= -1/2 or colliding with S) are dropped.  For
     |S| >= 2 a damped Newton iteration runs from a lattice of ordered
-    seed tuples spanning (-1/2, max(S) + 3), then (|S| = 2) from each
-    local minimum below LATTICE_SEED_RESID of the max |residual| on a
-    finer lattice over that box (step LATTICE_STEP, at most
-    LATTICE_MAX_POINTS per axis); converged solutions inside the box are
-    canonicalised in sorted order and de-duplicated, the first found kept.
+    seed tuples spanning (-1/2, max(S) + 3) and (|S| = 2) from each local
+    minimum below LATTICE_SEED_RESID of the max |residual| on a finer
+    lattice over that box (step LATTICE_STEP, at most LATTICE_MAX_POINTS
+    per axis), every seed in lockstep; converged solutions inside the box
+    are sorted and de-duplicated, the first found kept, and those outside
+    it are counted in `seeds_out_of_box`.
 
     All phase shifts below 1e-12 in magnitude short-circuit to the zero
     potential: no T is needed and `zero_potential` is set.  A negative
@@ -438,19 +440,14 @@ def solve_T(
     lo, hi = MIN_ORDER, float(max(input_set.ells)) + 3.0
     margin = 0.02 * (hi - lo)
     axis = np.linspace(lo + margin, hi - margin, seeds_per_axis)
-    seeds = [np.array(c) for c in itertools.combinations(axis, n)]
+    seeds = np.array(list(itertools.combinations(axis, n)))
     if n == 2:
-        seeds += list(_lattice_seeds(ells_arr, deltas_arr, lo, hi))
+        seeds = np.concatenate((seeds, _lattice_seeds(ells_arr, deltas_arr, lo, hi)))
+    sols, residuals = _newton(ells_arr, deltas_arr, seeds)
+    reached = np.sort(sols[residuals < NEWTON_TOL_RESID], axis=1)
+    inside = (reached[:, 0] > lo - 1e-9) & (reached[:, -1] < hi + 1e-9)
     candidates: list[np.ndarray] = []
-    residuals: list[float] = []
-    for seed in seeds:
-        sol, resid = _newton_seed(ells_arr, deltas_arr, seed)
-        residuals.append(resid)
-        if sol is None:
-            continue
-        srt = np.sort(sol)
-        if srt[0] <= lo - 1e-9 or srt[-1] >= hi + 1e-9:
-            continue
+    for srt in reached[inside]:
         if any(np.max(np.abs(srt - prev)) < DEDUPE_TOL for prev in candidates):
             continue
         candidates.append(srt)
@@ -459,9 +456,10 @@ def solve_T(
     return TSolveResult(
         found,
         False,
-        seed_residuals=residuals,
+        seed_residuals=residuals.tolist(),
         seeds_tried=len(seeds),
         cos_cond=_cos_cond(ells_arr, found),
+        seeds_out_of_box=int(np.sum(~inside)),
     )
 
 

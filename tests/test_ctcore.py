@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from ctinv import ctcore
 from ctinv.ctcore import (
+    NEWTON_TOL_RESID,
     _kappa,
     _phase_residuals,
     _phases,
@@ -227,6 +229,10 @@ def test_solve_T_empty_with_diagnostics():
     assert res.candidates == []
     assert res.seeds_tried > 1
     assert len(res.seed_residuals) == res.seeds_tried
+    # at the default seeds six runs converge, each far outside the box (-1/2, 4)
+    res = solve_T(s)
+    assert (res.candidates, res.seeds_out_of_box) == ([], 6)
+    assert sum(r < NEWTON_TOL_RESID for r in res.seed_residuals) == 6
 
 
 def test_lattice_minima_seed_what_a_coarse_seed_lattice_misses():
@@ -253,6 +259,115 @@ def test_lattice_pass_stays_bounded_at_a_large_ell():
     assert peak < 10e6
     assert elapsed < 30.0
     assert res.candidates
+
+
+def _newton_seed(ells_arr, deltas_arr, seed):
+    """Damped Newton on the wrapped phase residual from one seed.
+
+    Returns (T or None, final residual inf-norm).  The per-seed reference that
+    ctcore._newton, which runs every seed in lockstep, must match bit for bit.
+    """
+    x = np.asarray(seed, dtype=float).copy()
+    f = ctcore._phase_residuals(ells_arr, deltas_arr, x[None])[0]
+    if np.isnan(f[0]):
+        return None, math.inf
+    fnorm = float(np.max(np.abs(f)))
+    n = len(x)
+    h = 1e-6
+    shifts = h * np.eye(n)
+    for _ in range(ctcore.NEWTON_MAX_ITER):
+        if fnorm < ctcore.NEWTON_TOL_RESID:
+            return x, fnorm
+        # central differences: the 2n shifted T in one stacked call
+        fs = ctcore._phase_residuals(ells_arr, deltas_arr, np.concatenate((x + shifts, x - shifts)))
+        if np.isnan(fs).any():
+            return None, fnorm
+        jac = ((fs[:n] - fs[n:]) / (2.0 * h)).T
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None, fnorm
+        # Backtracking: halve the step until the residual norm drops.
+        alpha = 1.0
+        for _ in range(20):
+            trial = x + alpha * step
+            ft = ctcore._phase_residuals(ells_arr, deltas_arr, trial[None])[0]
+            ftn = float(np.max(np.abs(ft)))
+            if ftn < fnorm:  # never for a NaN row
+                x, f, fnorm = trial, ft, ftn
+                break
+            alpha *= 0.5
+        else:
+            return None, fnorm
+        if alpha * float(np.max(np.abs(step))) < ctcore.NEWTON_TOL_STEP:
+            break
+    if fnorm < ctcore.NEWTON_TOL_RESID:
+        return x, fnorm
+    return None, fnorm
+
+
+def _assert_rows_follow_the_reference(ells, deltas, X, sols, norms):
+    for seed, sol, norm in zip(X, sols, norms):
+        want, want_norm = _newton_seed(ells, deltas, seed)
+        assert np.array_equal(norm, want_norm, equal_nan=True), (seed, norm, want_norm)
+        assert (want is not None) == (norm < NEWTON_TOL_RESID), seed
+        assert want is None or np.array_equal(sol, want), (seed, sol, want)
+
+
+def test_stacked_newton_follows_the_per_seed_newton_bit_for_bit(monkeypatch):
+    # every seed that solve_T runs for ref2, the ws3 phases, delta = (1.4, 0), the
+    # phases of perfbench's KNOWN_MISS_T and the 30 draws of seed 0, cycles 0-1, of
+    # the tsolve workload
+    inputs = [
+        InputSet((0, 1), (0.4389, 0.1246)),
+        InputSet((0, 1, 2), (0.4389083676698257, 0.12458338498661448, 0.02111002717304025)),
+        InputSet((0, 1), (1.4, 0.0)),
+    ]
+    for Ls in LATTICE_ONLY_T[2:] + _stratified_T(0, 0) + _stratified_T(0, 1):
+        inputs.append(InputSet((0, 1), tuple(float(d) for d in phases_from_T((0, 1), Ls))))
+    runs = []
+    newton = ctcore._newton
+
+    def record(ells, deltas, X):
+        runs.append((ells, deltas, X, *newton(ells, deltas, X)))
+        return runs[-1][3:]
+
+    monkeypatch.setattr(ctcore, "_newton", record)
+    for s in inputs:
+        solve_T(s)
+    assert len(runs) == len(inputs) == 34
+    for run in runs:
+        _assert_rows_follow_the_reference(*run)
+
+
+# Synthetic residual families, one per round(L2 / 10): for family k, f = (g(L1), L2 - 10 k),
+# and a seed (L1, 10 k) ends as its comment says, in both Newtons
+SYNTHETIC_FAMILIES = [
+    (lambda x: x - 0.3, [0.0]),  # converged
+    (np.cbrt, [1.0]),  # a step below NEWTON_TOL_STEP (after 33 steps)
+    (lambda x: x**2 + 1.0, [0.0, 1e-5]),  # an exactly singular Jacobian; no descent
+    (lambda x: np.exp(60.0 - x), [0.0, 0.5]),  # NEWTON_MAX_ITER steps, the residual ~1
+    (lambda x: np.where(x < 1.0, x - 5.0, np.nan), [1.0 - 1e-7, 2.0]),  # a NaN Jacobian; invalid
+]
+
+
+def _synthetic_residual(ells, deltas, X):
+    fam = np.round(X[:, 1] / 10.0)
+    g = np.full(len(X), np.nan)
+    for k, (fn, _) in enumerate(SYNTHETIC_FAMILIES):
+        g[fam == k] = fn(X[fam == k, 0])
+    f = np.stack((g, X[:, 1] - 10.0 * fam), axis=1)
+    f[np.isnan(g)] = np.nan
+    return f
+
+
+def test_stacked_newton_takes_each_exit_of_the_per_seed_newton(monkeypatch):
+    monkeypatch.setattr(ctcore, "_phase_residuals", _synthetic_residual)
+    X = np.array([(x, 10.0 * k) for k, (_, xs) in enumerate(SYNTHETIC_FAMILIES) for x in xs])
+    sols, norms = ctcore._newton(None, None, X)
+    assert list(norms < NEWTON_TOL_RESID) == [True] + [False] * 7
+    assert norms[-1] == math.inf
+    _assert_rows_follow_the_reference(None, None, X, sols, norms)
 
 
 def test_asymptotic_data_solves_systems():

@@ -72,6 +72,8 @@ COMMANDS = [
     ["--config", "seeds2.cfg", "invert", "--phases", "ref2.txt"],
     # no seed converges: exit 3 with seeds_tried and best_seed_residual
     ["--config", "seeds2.cfg", "invert", "--phases", "no_cand.txt"],
+    # at the default seeds six runs converge far outside the seed box: seeds_out_of_box
+    ["invert", "--phases", "no_cand.txt"],
     # a generating T that only a lattice-minimum seed reaches
     ["invert", "--phases", "known_miss.txt", "--out", "known_miss.csv"],
     ["roundtrip", "--phases", "ref1.txt"],
