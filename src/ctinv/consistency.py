@@ -116,7 +116,7 @@ def _parity(ells, Ls) -> str | None:
 
 
 def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
-    """Scan step finite, > 0 and leaving a sample in the last 10% of the radius.
+    """Scan step finite, > 0, a finite sample count, and a sample in the last 10% of the radius.
 
     The radius is r_max, or `default` when r_max is None.
     """
@@ -127,6 +127,8 @@ def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
     if r_max is not None and not (math.isfinite(r_max) and r_max > resolution):
         raise DomainError("scan radius r_max must be finite and exceed the scan resolution")
     radius = default if r_max is None else float(r_max)
+    if not math.isfinite(radius / resolution):
+        raise DomainError(f"scan radius {radius:g} holds no finite count of scan steps")
     # the settle window [0.9 R, R] needs a sample k * resolution; then each doubled range has one
     if int(radius / resolution) * resolution < 0.9 * radius:
         raise DomainError(f"scan radius {radius:g} leaves no scan step in its last 10%")

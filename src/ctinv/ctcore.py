@@ -8,9 +8,10 @@ linear algebra built on the matrices
     [M_sin]_{ell,L} = sin((ell - L) pi/2) / (L(L+1) - ell(ell+1))
     [M_cos]_{ell,L} = cos((ell - L) pi/2) / (L(L+1) - ell(ell+1))
 
-which encode the large-r behaviour of the transformed waves: the S-matrix
-element for ell is (1 + i K+_ell) / (1 - i K-_ell) with
-K+-_ell = sum_{ell'} [M_sin M_cos^{-1}]_{ell,ell'} exp(+-i(ell-ell') pi/2).
+which encode the large-r behaviour of the transformed waves.  One real solve,
+M_cos [a b] = [cos(ell pi/2) sin(ell pi/2)] over S, gives the tail amplitudes,
+and delta_ell = atan2(Q, P) + ell pi/2 (mod pi) for any ell, with
+P = cos(ell pi/2) + (M_sin b)_ell and Q = (M_sin a)_ell - sin(ell pi/2).
 """
 
 from __future__ import annotations
@@ -265,33 +266,35 @@ def kappa_matrices(s, t) -> tuple[np.ndarray, np.ndarray]:
 def phases_from_T(s, t) -> np.ndarray:
     """Phase shifts generated by a shifted set T, one per element of S.
 
-    Computes P = M_sin M_cos^{-1} and the S-matrix elements
-    (1 + i K+)/(1 - i K-); each must be unimodular for real T, and a
-    deviation beyond 1e-6 in |ln|S|| / 2 (the imaginary part of delta)
-    raises InternalInconsistencyError.
+    delta_ell = atan2(Q, P) + ell pi/2 reduced modulo pi, with P and Q from
+    the one matching solve (module docstring); real for real T.  The only
+    failure is a singular M_cos, which raises InternalInconsistencyError.
     """
     ells, Ls = _as_pair(s, t)
     return _phases(ells, Ls[None])[0]
 
 
-def _phases(ells: np.ndarray, Ls: np.ndarray) -> np.ndarray:
-    """phases_from_T of each T stacked in Ls (N, |T|); raises if any one fails."""
+def _matching(ells: np.ndarray, Ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M_sin and [a b] (..., |T|, 2) solving M_cos [a b] = [cos(ell pi/2) sin(ell pi/2)].
+
+    One solve with two right-hand sides, stacked over the leading axes of Ls
+    as in _kappa; a singular M_cos raises InternalInconsistencyError.
+    """
     m_sin, m_cos = _kappa(ells, Ls)
+    half_pi = 0.5 * math.pi
+    rhs = np.stack((np.cos(half_pi * ells), np.sin(half_pi * ells)), axis=-1)
     try:
-        p = np.linalg.solve(m_cos.swapaxes(-1, -2), m_sin.swapaxes(-1, -2)).swapaxes(-1, -2)
+        return m_sin, np.linalg.solve(m_cos, rhs)
     except np.linalg.LinAlgError as exc:
         raise InternalInconsistencyError(f"cos structure matrix singular: {exc}") from exc
-    half_pi = 0.5 * math.pi
-    rel = ells[:, None] - ells[None, :]
-    k_plus = np.sum(p * np.exp(1j * half_pi * rel), axis=-1)
-    k_minus = np.sum(p * np.exp(-1j * half_pi * rel), axis=-1)
-    s_elem = (1.0 + 1j * k_plus) / (1.0 - 1j * k_minus)
-    imag_delta = -0.5 * np.log(np.abs(s_elem))
-    if np.any(np.abs(imag_delta) > 1e-6):
-        raise InternalInconsistencyError(
-            f"phase shifts not real: max |Im delta| = {np.max(np.abs(imag_delta)):.3g}"
-        )
-    return 0.5 * np.angle(s_elem)
+
+
+def _phases(ells: np.ndarray, Ls: np.ndarray) -> np.ndarray:
+    """phases_from_T of each T stacked in Ls (N, |T|); raises if any M_cos is singular."""
+    m_sin, ab = _matching(ells, Ls)
+    sin_a, sin_b = np.moveaxis(m_sin @ ab, -1, 0)
+    half_ell = 0.5 * math.pi * ells
+    return _wrap_pi(np.arctan2(sin_a - np.sin(half_ell), np.cos(half_ell) + sin_b) + half_ell)
 
 
 @dataclass
@@ -318,7 +321,7 @@ def _phase_residuals(ells_arr: np.ndarray, deltas_arr: np.ndarray, X: np.ndarray
     out = np.full(X.shape, np.nan)
     try:
         out[ok] = _wrap_pi(_phases(ells_arr, srt[ok]) - deltas_arr)
-    except InternalInconsistencyError:  # a singular M_cos or complex phases: row by row
+    except InternalInconsistencyError:  # a singular M_cos: row by row
         for i in np.flatnonzero(ok):
             with contextlib.suppress(InternalInconsistencyError):
                 out[i] = _wrap_pi(_phases(ells_arr, srt[i : i + 1])[0] - deltas_arr)
@@ -487,15 +490,9 @@ def asymptotic_data(s, t) -> AsymptoticData:
     A singular M_cos raises InternalInconsistencyError.
     """
     ells, Ls = _as_pair(s, t)
-    m_cos = _kappa(ells, Ls)[1]
-    half_pi = 0.5 * math.pi
-    try:
-        a = np.linalg.solve(m_cos, np.cos(half_pi * ells))
-        b = np.linalg.solve(m_cos, np.sin(half_pi * ells))
-    except np.linalg.LinAlgError as exc:
-        raise InternalInconsistencyError(f"cos structure matrix singular: {exc}") from exc
-    cl = np.cos(half_pi * Ls)
-    sl = np.sin(half_pi * Ls)
+    a, b = _matching(ells, Ls)[1].T
+    cl = np.cos(0.5 * math.pi * Ls)
+    sl = np.sin(0.5 * math.pi * Ls)
     alpha = 0.5 * float(np.sum(a * cl - b * sl))
     beta = -0.5 * float(np.sum(a * sl + b * cl))
     return AsymptoticData(a, b, alpha, beta)

@@ -34,10 +34,10 @@ class SingularConfigurationError(CtinvError, ValueError):
 
 
 class InternalInconsistencyError(CtinvError, RuntimeError):
-    """A quantity that must be real/unimodular by construction is not.
+    """A computation that must succeed by construction does not.
 
-    Signals a genuine inconsistency (or severe ill-conditioning) rather than
-    a user error.
+    A singular M_cos in the large-r matching solve, or a scan that contradicts the
+    single-channel rule: a genuine inconsistency (or ill-conditioning), not a user error.
     """
 
 

@@ -225,6 +225,14 @@ def test_check_collision_exit_1(capsys):
          "threads must be >= 1"),
         (["map", "--ells", "0,1", "--box=0,1,0,1", "--res", "0.5", "--threads", "-3"],
          "threads must be >= 1"),
+        # radius / step overflows to inf
+        (["check", "--ells", "0", "--T=-0.4", "--lambda", "1e308"],
+         "scan radius 1e+308 holds no finite count of scan steps"),
+        (["map", "--ells", "0,1", "--box=0,0.5,0,0.5", "--res", "0.25", "--lambda", "1e308"],
+         "scan radius 1e+308 holds no finite count of scan steps"),
+        # the default radius 50 + 10 max(T) is itself inf
+        (["check", "--ells", "0", "--T=1e308"],
+         "scan radius inf holds no finite count of scan steps"),
     ],
 )
 def test_bad_S_or_resolution_is_one_line_exit_1(argv, message, capsys, tmp_path):

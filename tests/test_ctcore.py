@@ -14,6 +14,7 @@ from ctinv import ctcore
 from ctinv.ctcore import (
     NEWTON_TOL_RESID,
     _kappa,
+    _matching,
     _phase_residuals,
     _phases,
     _wrap_pi,
@@ -567,3 +568,66 @@ def test_stacked_kappa_and_phases_rows_equal_single_calls():
             assert np.array_equal(m_sin[k], one_sin) and np.array_equal(m_cos[k], one_cos)
             assert np.array_equal(phases[k], _phases(ells, Ls[None])[0])
             assert np.array_equal(phases[k], phases_from_T(ells, Ls))
+
+
+def _s_matrix_phases(ells: np.ndarray, Ls: np.ndarray) -> np.ndarray:
+    """phases_from_T of each T stacked in Ls (N, |T|); raises if any one fails."""
+    m_sin, m_cos = _kappa(ells, Ls)
+    try:
+        p = np.linalg.solve(m_cos.swapaxes(-1, -2), m_sin.swapaxes(-1, -2)).swapaxes(-1, -2)
+    except np.linalg.LinAlgError as exc:
+        raise InternalInconsistencyError(f"cos structure matrix singular: {exc}") from exc
+    half_pi = 0.5 * math.pi
+    rel = ells[:, None] - ells[None, :]
+    k_plus = np.sum(p * np.exp(1j * half_pi * rel), axis=-1)
+    k_minus = np.sum(p * np.exp(-1j * half_pi * rel), axis=-1)
+    s_elem = (1.0 + 1j * k_plus) / (1.0 - 1j * k_minus)
+    imag_delta = -0.5 * np.log(np.abs(s_elem))
+    if np.any(np.abs(imag_delta) > 1e-6):
+        raise InternalInconsistencyError(
+            f"phase shifts not real: max |Im delta| = {np.max(np.abs(imag_delta)):.3g}"
+        )
+    return 0.5 * np.angle(s_elem)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_matching_phases_agree_with_the_s_matrix_form(n):
+    # _s_matrix_phases is the complex S-matrix form (1 + i K+)/(1 - i K-), with
+    # K+- = sum_ell' [M_sin M_cos^-1]_{ell,ell'} exp(+-i(ell - ell') pi/2), that _phases
+    # replaced.  Both round at the level eps cond(M_cos), so each row must agree within
+    # 100 eps cond(M_cos); over these 3,000-odd T per |S| the largest gaps are 4.0, 4.2
+    # and 5.9 eps cond (8.9e-16, 1.9e-14 and 1.8e-12 absolute) for |S| = 1, 2, 3
+    rng = np.random.default_rng(30 + n)
+    rows = 0
+    worst = 0.0
+    while rows < 3000:
+        ells = np.sort(rng.choice(6, n, replace=False)).astype(float)
+        X = np.sort(rng.uniform(-0.45, ells[-1] + 3.0, (200, n)), axis=1)
+        keep = np.min(np.abs(ells[:, None, None] - X), axis=(0, 2)) > 1e-3
+        keep &= np.all(np.diff(X, axis=1) > 1e-3, axis=1)
+        X = X[keep]
+        diff = np.max(np.abs(_wrap_pi(_phases(ells, X) - _s_matrix_phases(ells, X))), axis=1)
+        scale = np.finfo(float).eps * np.linalg.cond(_kappa(ells, X)[1])
+        worst = max(worst, float(np.max(diff / scale)))
+        rows += len(X)
+    assert worst < 100.0, worst
+
+
+@pytest.mark.parametrize("big_l", [-0.4, 0.3, 1.6, 3.7])
+def test_matching_solve_gives_the_one_shift_phase_law_at_every_ell(big_l):
+    # S = {0}: rows of M_sin for ell outside S, with the a and b of the matching solve,
+    # give P and Q and so tan delta_ell = tan(atan2(Q, P) + ell pi/2)
+    s, t = np.array([0.0]), np.array([big_l])
+    ab = _matching(s, t)[1]
+    delta0 = float(_phases(s, t[None])[0, 0])
+    for ell in range(1, 7):
+        row = _kappa(np.array([float(ell)]), t)[0] @ ab
+        half_ell = 0.5 * math.pi * ell
+        p = math.cos(half_ell) + row[0, 1]
+        q = row[0, 0] - math.sin(half_ell)
+        tan_delta = math.tan(math.atan2(q, p) + half_ell)
+        if ell % 2:
+            assert abs(tan_delta) < 1e-12, (ell, tan_delta)
+        else:
+            want = one_shift_phase_formula(big_l, ell, delta0).tan_delta
+            assert tan_delta == pytest.approx(want, rel=1e-12, abs=1e-12), (ell, tan_delta, want)

@@ -95,6 +95,8 @@ COMMANDS = [
     ["check", "--ells", "0,1", "--T=0.5,-0.2"],
     # det M_cos is 0 to rounding: no tail amplitudes, the scan verdict kept
     ["check", "--ells", "0,1", "--T=0.5,1.781264665819622", "--lambda", "30"],
+    # radius / step overflows to inf: one line on stderr, exit 1
+    ["check", "--ells", "0", "--T=-0.4", "--lambda", "1e308"],
     ["forward", "--ws", "1,1,0.4", "--ellmax", "8", "--out", "ws.csv"],
     # a repulsive barrier: phi passes 1e250 inside it (the integrator's
     # rescale branch) and leaves it near 1e183 (the scaled extraction fit)
