@@ -38,7 +38,7 @@ MAX_DOUBLINGS = 2
 SCAN_RESOLUTION = 0.05  # default sampling step of the determinant scan
 MIN_SCAN_RADIUS = 700.0  # floor of default_scan_radius
 SCAN_BLOCK = 4096  # samples of D(r) per determinant block: bounds the scan's temporaries
-MAP_TILE = 9  # lattice values per side of a map tile; its u_L tables go when it is done
+MAX_SCAN_SAMPLES = 2**24  # samples per table of the longest scan: 268 MB of value + derivative
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,12 @@ def _parity(ells, Ls) -> str | None:
 
 
 def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
-    """Scan step finite, > 0, a finite sample count, and a sample in the last 10% of the radius.
+    """Refuse a scan step or radius that no scan can use, before any table is built.
 
-    The radius is r_max, or `default` when r_max is None.
+    The step must be finite and > 0.  The radius, r_max or `default` when
+    r_max is None, must hold a finite count of steps, at most
+    MAX_SCAN_SAMPLES once doubled MAX_DOUBLINGS times, and a step in its
+    last 10%.
     """
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError("scan resolution must be finite and > 0")
@@ -129,6 +132,11 @@ def _check_scan(r_max: float | None, resolution: float, default: float) -> None:
     radius = default if r_max is None else float(r_max)
     if not math.isfinite(radius / resolution):
         raise DomainError(f"scan radius {radius:g} holds no finite count of scan steps")
+    if radius * 2.0**MAX_DOUBLINGS / resolution > MAX_SCAN_SAMPLES:
+        raise DomainError(
+            f"scan radius {radius:g} at step {resolution:g} needs more than"
+            f" {MAX_SCAN_SAMPLES} samples per table once doubled"
+        )
     # the settle window [0.9 R, R] needs a sample k * resolution; then each doubled range has one
     if int(radius / resolution) * resolution < 0.9 * radius:
         raise DomainError(f"scan radius {radius:g} leaves no scan step in its last 10%")
@@ -249,16 +257,16 @@ def select_physical(
     `ambiguous` and callers must decide (all of them reproduce the data).
 
     Each candidate is validated against S once, then scanned by _scan.  The
-    scans share one RiccatiTables: the v_ell tables of S are built once for
-    all candidates, and a candidate's u_L tables are dropped when its scan
-    returns.  `unsettled` is set when any scan did not settle.
+    scans share one RiccatiTables, kept until the selection returns: the
+    v_ell tables of S are built once for all candidates, and each
+    candidate's u_L tables once.  `unsettled` is set when any scan did not
+    settle.
     """
     tables = RiccatiTables(resolution)
     verdicts: list[AdmissibilityVerdict] = []
     for cand in candidates:
         ells, Ls = _as_pair(input_set, cand)
         verdict = _scan(ells, Ls, None, tables)
-        tables.drop(cand.Ls, True)
         if len(ells) == 1 and verdict.settled:
             rule = admissible_1d(float(ells[0]), cand.Ls[0])
             if rule != verdict.admissible:
@@ -309,12 +317,11 @@ def admissibility_map(
     scan radius (MIN_SCAN_RADIUS, the smallest default, when r_max is None),
     the resolution and the thread count are checked once, before it.
 
-    All cells share one RiccatiTables: the v_ell tables of S are built once
-    per map, the u_L table of a lattice value once per tile.  The sweep
-    goes tile by tile, MAP_TILE lattice values a side, and drops a tile's
-    u_L tables when it is done, so at most 2 * MAP_TILE lattice tables plus
-    S are live, each as long as the longest scan that read it.  `tables`
-    holds the counts.
+    All cells share one RiccatiTables, kept until the map returns: the
+    v_ell tables of S and the u_L table of each lattice value are built
+    once per map, each as long as the longest scan that read it.  The
+    cells go to the threads one lattice row at a time, in cell order, and
+    at most two rows of them are in flight.  `tables` holds the counts.
     """
     ells_arr = _as_ells(s)
     if len(ells_arr) != 2:
@@ -341,11 +348,9 @@ def admissibility_map(
         return min(abs(l - e) for l in (l1, l2) for e in ells) >= 1e-6
 
     square = np.array_equal(axis1, axis2)
-    cells = [
-        (i, j)
-        for i in range(len(axis1))
-        for j in range(i if square else 0, len(axis2))
-        if valid(float(axis1[i]), float(axis2[j]))
+    rows = [
+        [(i, j) for j in range(i if square else 0, len(axis2)) if valid(float(l1), float(axis2[j]))]
+        for i, l1 in enumerate(axis1)
     ]
 
     tables = RiccatiTables(scan_resolution)
@@ -359,18 +364,16 @@ def admissibility_map(
         except Exception as exc:  # recorded per cell, sweep continues
             return False, f"{type(exc).__name__}: {exc}"
 
-    tiles: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j in cells:
-        tiles.setdefault((i // MAP_TILE, j // MAP_TILE), []).append((i, j))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for tile in tiles.values():
-            for (i, j), (ok, err) in zip(tile, pool.map(work, tile)):
+        # a row is submitted before the previous one is read, so no thread idles at a row's end
+        pending = iter(())
+        for row in rows + [[]]:
+            submitted = zip(row, pool.map(work, row))
+            for (i, j), (ok, err) in pending:
                 flags[i, j] = ok
                 if err is not None:
                     errors.append((i, j, err))
-            values = {float(axis1[i]) for i, _ in tile} | {float(axis2[j]) for _, j in tile}
-            tables.drop(values, True)
-    errors.sort()  # cell order: a tile spans several lattice rows
+            pending = submitted
 
     if square:
         flags |= flags.T

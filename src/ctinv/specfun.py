@@ -184,13 +184,15 @@ class RiccatiTables:
     order, and grows append-only: only points beyond those held are
     evaluated, through _riccati_halves.  Its arithmetic is elementwise, so
     the first n points equal _riccati_halves on the whole grid bit for bit.
-    Threads may share one instance: each table fills under its own lock,
-    so no fill runs twice and no table is replaced by a shorter one.
-    A fill that fails with a CtinvError (a saturated Y near the origin) is
-    remembered with its length: a request at least that long raises a new
-    exception of the same type and message and evaluates nothing.
-    `counts()` gives the tables `filled` from empty, the `bessel_points`
-    evaluated (three orders per point) and the `most_live` at once.
+    Nothing is removed: a table lives as long as the instance, so a sweep
+    that owns one builds each table once.  Threads may share one instance:
+    each table fills under its own lock, so no fill runs twice and no
+    table is replaced by a shorter one.  A fill that fails with a
+    CtinvError (a saturated Y near the origin) is remembered with its
+    length: a request at least that long raises a new exception of the
+    same type and message and evaluates nothing.  `counts()` gives the
+    tables `filled` from empty and the `bessel_points` evaluated (three
+    orders per point).
     """
 
     def __init__(self, step: float):
@@ -200,7 +202,7 @@ class RiccatiTables:
         # a failed fill: its length, error type and arguments (no traceback is kept alive)
         self._failed: dict[tuple[bool, float], tuple[int, type, tuple]] = {}
         self._guard = threading.Lock()  # the dicts and the counts
-        self._counts = {"filled": 0, "bessel_points": 0, "most_live": 0}
+        self._counts = {"filled": 0, "bessel_points": 0}
 
     def halves(self, lams, regular: bool, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """(value, derivative) of each order on the first n grid points."""
@@ -234,18 +236,7 @@ class RiccatiTables:
                     counts = self._counts
                     counts["filled"] += have == 0
                     counts["bessel_points"] += 3 * (n - have)
-                    counts["most_live"] = max(counts["most_live"], len(self._tables))
         return held[0][:n], held[1][:n]
-
-    def drop(self, lams, regular: bool) -> None:
-        """Forget the tables and failed fills of these orders; a later request builds them again.
-
-        Call it only for orders that no other thread is reading or filling.
-        """
-        with self._guard:
-            for lam in lams:
-                self._tables.pop((regular, float(lam)), None)
-                self._failed.pop((regular, float(lam)), None)
 
     def counts(self) -> dict[str, int]:
         with self._guard:

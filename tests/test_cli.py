@@ -233,6 +233,11 @@ def test_check_collision_exit_1(capsys):
         # the default radius 50 + 10 max(T) is itself inf
         (["check", "--ells", "0", "--T=1e308"],
          "scan radius inf holds no finite count of scan steps"),
+        # 2e8 samples per table before any doubling: refused before a table is built
+        (["check", "--ells", "0,1", "--T=0.3,1e6"],
+         "scan radius 1e+07 at step 0.05 needs more than 16777216 samples per table"),
+        (["check", "--ells", "0", "--T=0.5", "--lambda", "1e7"],
+         "scan radius 1e+07 at step 0.05 needs more than 16777216 samples per table"),
     ],
 )
 def test_bad_S_or_resolution_is_one_line_exit_1(argv, message, capsys, tmp_path):
@@ -777,8 +782,8 @@ def test_map_contains_reference_cell(tmp_path, capsys):
     assert rep["cells"] == 6
     assert rep["admissible_cells"] >= 1
     assert rep["errors"] == []
-    # one tile: the two v_ell tables and one u_L table per lattice value (3 + 2)
-    assert (rep["tables"]["filled"], rep["tables"]["most_live"]) == (7, 7)
+    # the two v_ell tables and one u_L table per lattice value (3 + 2)
+    assert rep["tables"]["filled"] == 7
     assert rep["tables"]["bessel_points"] >= 3 * 7 * 14000
     text = out_csv.read_text()
     assert "L1,L2,admissible" in text

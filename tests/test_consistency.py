@@ -121,6 +121,27 @@ def test_select_physical_none_admissible():
     assert not rep.ambiguous
 
 
+def test_select_physical_fills_each_table_once(monkeypatch, ref2_input):
+    # ref2's four candidates, one scanned to a doubled range: each table is built
+    # from the first grid point once, and a longer scan appends only new points
+    fills = {}
+
+    def counting(lams, x, regular, *args):
+        first = round(x[0] / 0.05)
+        fills.setdefault((lams[0], regular), []).append((first, first + len(x) - 1))
+        return _riccati_halves(lams, x, regular, *args)
+
+    monkeypatch.setattr(specfun, "_riccati_halves", counting)
+    cands = ctcore.solve_T(ref2_input).candidates
+    assert len(cands) == 4
+    select_physical(ref2_input, cands)
+    assert set(fills) == {(0.0, False), (1.0, False)} | {(L, True) for c in cands for L in c.Ls}
+    for spans in fills.values():
+        assert spans[0][0] == 1
+        assert all(nxt[0] == prev[1] + 1 for prev, nxt in zip(spans, spans[1:]))
+    assert len(fills[(0.0, False)]) == 3  # grown twice, for the doubled scan
+
+
 def test_map_symmetry_and_validity():
     amap = admissibility_map((0, 1), (0.2, 1.2, 0.2, 1.2), resolution=0.5)
     assert list(amap.axis1) == pytest.approx([0.2, 0.7, 1.2])
@@ -229,19 +250,19 @@ def test_scan_radius_and_resolution_must_be_finite(r_max, resolution):
 
 @pytest.mark.parametrize(
     "box, resolution",
-    [((0.2, 1.2, 0.2, 1.2), 0.25), ((0.3, 0.9, 1.6, 2.0), 0.2)],
+    [((0.2, 2.7, 0.2, 2.7), 0.25), ((0.3, 0.9, 1.6, 4.0), 0.2)],
     ids=["square", "box"],
 )
-def test_tiled_map_equals_per_cell_scans(monkeypatch, box, resolution):
-    # two lattice values per tile side: both lattices span several tiles
-    monkeypatch.setattr(consistency, "MAP_TILE", 2)
+def test_map_equals_per_cell_scans_with_one_table_per_value(box, resolution):
+    # lattices of more than nine values on their longer side, swept row by row
     maps = [
         admissibility_map((0, 1), box, resolution, r_max=30.0, threads=threads)
         for threads in (1, 2)
     ]
     axis1, axis2 = maps[0].axis1, maps[0].axis2
     square = np.array_equal(axis1, axis2)
-    tiles: dict = {}
+    assert max(len(axis1), len(axis2)) > 9
+    scanned = set()
     for i, l1 in enumerate(axis1):
         for j, l2 in enumerate(axis2):
             if (square and j < i) or l1 == l2:
@@ -249,30 +270,21 @@ def test_tiled_map_equals_per_cell_scans(monkeypatch, box, resolution):
             v = scan_zeros((0, 1), (float(l1), float(l2)), r_max=30.0)
             for amap in maps:
                 assert amap.admissible[i, j] == (v.settled and v.admissible), (l1, l2)
-            tiles.setdefault((i // 2, j // 2), set()).update((float(l1), float(l2)))
-    # the S tables once per map, each lattice value once per tile that scans it
-    assert len(tiles) > 1
-    filled = 2 + sum(len(values) for values in tiles.values())
-    most_live = 2 + max(len(values) for values in tiles.values())
+            scanned.update((float(l1), float(l2)))
+    # the two S tables and one table per lattice value that a cell scanned, once per map
     for amap in maps:
         assert amap.errors == []
-        assert (amap.tables["filled"], amap.tables["most_live"]) == (filled, most_live)
+        assert amap.tables["filled"] == 2 + len(scanned)
     assert maps[0].tables == maps[1].tables
 
 
-@pytest.mark.parametrize(
-    "box, r_max, tile",
-    [((0.0, 0.5, 1.0, 1.5), None, consistency.MAP_TILE), ((0.0, 0.5, 1.0, 2.0), 30.0, 2)],
-    ids=["one_tile", "tiles_across_rows"],
-)
-def test_map_records_each_cell_error_in_cell_order(monkeypatch, box, r_max, tile):
-    # the v_ell table of ell = 200 saturates at the first grid point in every cell;
-    # two-value tiles on a 2 x 3 lattice finish row 1 before cell (0, 2)
-    monkeypatch.setattr(consistency, "MAP_TILE", tile)
+def test_map_records_each_cell_error_in_cell_order():
+    # the v_ell table of ell = 200 saturates at the first grid point in every cell
     message = "SaturationError: Bessel value saturated at nu=200.5, x~0.05"
     for threads in (1, 2):
-        amap = admissibility_map((200, 201), box, 0.5, r_max=r_max, threads=threads)
+        amap = admissibility_map((200, 201), (0.0, 0.5, 1.0, 2.0), 0.5, threads=threads)
         cells = [(i, j) for i in range(len(amap.axis1)) for j in range(len(amap.axis2))]
+        assert len(cells) == 6
         assert amap.errors == [(i, j, message) for i, j in cells]
         assert not amap.admissible.any()
 
@@ -293,7 +305,7 @@ def test_map_evaluates_a_saturating_table_once(monkeypatch):
         assert len(amap.errors) == 4
         assert fills.count(((200.0,), False)) == 1
         assert not any(regular for _, regular in fills)
-        assert amap.tables == {"filled": 0, "bessel_points": 0, "most_live": 0}
+        assert amap.tables == {"filled": 0, "bessel_points": 0}
 
 
 def test_map_sweep_validates_S_and_T_a_fixed_number_of_times(monkeypatch):
@@ -422,7 +434,7 @@ def test_shared_tables_fill_each_order_once_under_thread_contention():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and errors == []
     counts = tables.counts()
-    assert counts == {"filled": 4, "bessel_points": 3 * 4 * 3200, "most_live": 4}
+    assert counts == {"filled": 4, "bessel_points": 3 * 4 * 3200}
     x = np.arange(1, 3201, dtype=float) * 0.05
     for (val, dval), (ref, dref) in zip(tables.halves(lams, True, 3200), _riccati_halves(lams, x, True)):
         assert np.array_equal(val, ref) and np.array_equal(dval, dref)

@@ -113,8 +113,8 @@ COMMANDS = [
      "--out", "map_square.csv"],
     ["map", "--ells", "0,1", "--box=-0.4,-0.2,0.85,0.95", "--res", "0.1",
      "--out", "map_box.csv"],
-    # lattices wider than one map tile (consistency.MAP_TILE = 9 values a side),
-    # square and not, so the shared tables are dropped and rebuilt between tiles
+    # multi-row sweeps of 12 x 12 and 6 x 12 lattice values: every cell reads the one
+    # table of each lattice value that the map builds
     ["map", "--ells", "0,1", "--box=-0.3,1.9,-0.3,1.9", "--res", "0.2", "--lambda", "300",
      "--threads", "2", "--out", "map_tiles.csv"],
     ["map", "--ells", "0,1", "--box=-0.45,0.55,1.1,3.3", "--res", "0.2", "--lambda", "300",
