@@ -278,13 +278,19 @@ def test_map_equals_per_cell_scans_with_one_table_per_value(box, resolution):
     assert maps[0].tables == maps[1].tables
 
 
-def test_map_records_each_cell_error_in_cell_order():
-    # the v_ell table of ell = 200 saturates at the first grid point in every cell
+@pytest.mark.parametrize(
+    "box, r_max, n_cells",
+    [((0.0, 0.5, 1.0, 1.5), None, 4), ((0.0, 0.5, 1.0, 2.0), 30.0, 6)],
+    ids=["one_tile", "tiles_across_rows"],
+)
+def test_map_records_each_cell_error_in_cell_order(box, r_max, n_cells):
+    # the v_ell table of ell = 200 saturates at the first grid point in every cell;
+    # the ids name the 2 x 2 and 2 x 3 lattices the former tiled sweep split differently
     message = "SaturationError: Bessel value saturated at nu=200.5, x~0.05"
     for threads in (1, 2):
-        amap = admissibility_map((200, 201), (0.0, 0.5, 1.0, 2.0), 0.5, threads=threads)
+        amap = admissibility_map((200, 201), box, 0.5, r_max=r_max, threads=threads)
         cells = [(i, j) for i in range(len(amap.axis1)) for j in range(len(amap.axis2))]
-        assert len(cells) == 6
+        assert len(cells) == n_cells
         assert amap.errors == [(i, j, message) for i, j in cells]
         assert not amap.admissible.any()
 
