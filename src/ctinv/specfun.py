@@ -13,6 +13,7 @@ normalised so that the same-order Wronskian u v' - u' v equals 1.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import NamedTuple
@@ -132,12 +133,17 @@ def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     """One half of the Riccati pair per order: (u, u') from J or (v, v') from Y.
 
     The derivative is None when `deriv` is false, so callers that read
-    only values skip the two neighbouring Bessel orders it needs.  Each
-    distinct order C_nu (J or Y) is evaluated once per call and shared
-    between the values and derivatives of all `lams`; the derivative is
-    scipy's own jvp/yvp expression (C_{nu-1} - C_{nu-1+2}) / 2, so the
-    result equals the jvp/yvp route bit for bit.  Only the values computed
-    are checked for saturation, order by order.
+    only values skip the Bessel orders it needs.  An integer order l
+    (below 2**31, a C long to scipy) uses the spherical Bessel closed
+    forms u_l = x j_l(x), v_l = x y_l(x) and u_l' = u_{l-1} - (l/x) u_l
+    (DLMF 10.51.2), with u_{-1} = cos x and v_{-1} = sin x, so its
+    derivative needs the order l - 1 alone.  Any other order uses C_nu
+    (J or Y) at nu = lam + 1/2 with scipy's own jvp/yvp expression
+    (C_{nu-1} - C_{nu-1+2}) / 2 for the derivative, so that half equals
+    the jvp/yvp route bit for bit.  Each distinct order is evaluated once
+    per call and shared between the values and derivatives of all `lams`.
+    Every value and derivative computed is checked for saturation, order
+    by order.
     """
     for lam in lams:
         if not math.isfinite(lam) or lam <= -0.5:
@@ -145,26 +151,39 @@ def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     arr, scalar = _as_positive_array(x, "x")
     factor = np.sqrt(0.5 * math.pi * arr)
     fn = special.jv if regular else special.yv
-    memo: dict[float, np.ndarray] = {}  # keyed on the exact float order
+    sph = special.spherical_jn if regular else special.spherical_yn
 
+    @functools.cache  # keyed on the exact float order
     def cyl(nu: float):
-        if nu not in memo:
-            memo[nu] = fn(nu, arr)
-        return memo[nu]
+        return fn(nu, arr)
+
+    @functools.cache
+    def ric(ell: int):
+        if ell < 0:
+            return np.cos(arr) if regular else np.sin(arr)
+        return arr * sph(ell, arr)
 
     halves = []
     for lam in lams:
         nu = lam + 0.5
-        c = cyl(nu)
-        _require_finite(nu, arr, c)
-        val, dval = factor * c, None
-        if deriv:
-            # scipy's _bessel_diff_formula, operation for operation, so the bits match jvp/yvp
-            s = cyl(nu - 1.0).copy()
-            s += -1.0 * cyl(nu - 1.0 + 2.0)
-            cp = s / 2.0
-            _require_finite(nu, arr, cp)
-            dval = factor * (c / (2.0 * arr) + cp)
+        if 0 <= lam < 2**31 and lam == int(lam):
+            ell = int(lam)
+            val, dval = ric(ell), None
+            _require_finite(nu, arr, val)
+            if deriv:
+                dval = ric(ell - 1) - (ell / arr) * val
+                _require_finite(nu, arr, dval)
+        else:
+            c = cyl(nu)
+            _require_finite(nu, arr, c)
+            val, dval = factor * c, None
+            if deriv:
+                # scipy's _bessel_diff_formula, operation for operation, so the bits match jvp/yvp
+                s = cyl(nu - 1.0).copy()
+                s += -1.0 * cyl(nu - 1.0 + 2.0)
+                cp = s / 2.0
+                _require_finite(nu, arr, cp)
+                dval = factor * (c / (2.0 * arr) + cp)
         if scalar:
             halves.append((float(val), None if dval is None else float(dval)))
         else:
@@ -191,8 +210,8 @@ class RiccatiTables:
     CtinvError (a saturated Y near the origin) is remembered with its
     length: a request at least that long raises a new exception of the
     same type and message and evaluates nothing.  `counts()` gives the
-    tables `filled` from empty and the `bessel_points` evaluated (three
-    orders per point).
+    tables `filled` from empty and the `bessel_points` evaluated, three
+    per point at every order (an integer order reads two spherical ones).
     """
 
     def __init__(self, step: float):

@@ -544,13 +544,13 @@ def test_invert_without_candidate_reports_the_seeds_exit_3(tmp_path, capsys):
     rep = _report(out)
     assert (code, rep["candidates"], rep["chosen_T"], rep["seeds_tried"]) == (3, [], None, 7)
     assert rep["seeds_out_of_box"] == 0
-    assert rep["best_seed_residual"] == pytest.approx(2.6548074914e-08, rel=1e-9)
+    assert rep["best_seed_residual"] == pytest.approx(2.65480748495861e-08, rel=1e-9, abs=0)
     # at the default seeds six runs converge, each far outside the box (-1/2, 4): they
     # are counted apart, and the best residual is that of the other runs
     code, out, _ = _run(capsys, ["invert", "--phases", str(tmp_path / "phases.txt")])
     rep = _report(out)
     assert (code, rep["candidates"], rep["seeds_out_of_box"]) == (3, [], 6)
-    assert rep["best_seed_residual"] == pytest.approx(2.6548028668e-08, rel=1e-9)
+    assert rep["best_seed_residual"] == pytest.approx(2.654804287516299e-08, rel=1e-9, abs=0)
 
 
 def test_invert_malformed_file_reports_line(tmp_path, capsys):

@@ -241,15 +241,17 @@ def test_kernel_from_another_grid_or_T_is_refused(ref2_input):
 
 def test_only_the_used_riccati_halves_are_evaluated(ref2_input, monkeypatch):
     # u and u' for T, v and v' for S; values alone where only values are read.
-    # A derivative needs the orders nu - 1 and (nu - 1) + 2 (scipy's jvp
-    # expression); each (function, order) is evaluated once per table, so
-    # S = {0, 1} takes Y at 1/2, -1/2, 3/2, 5/2: four calls, not six
+    # A non-integer order's derivative needs J at nu - 1 and (nu - 1) + 2
+    # (scipy's jvp expression); an integer order l takes the spherical function
+    # at l and its derivative that at l - 1 alone (cos x or sin x at l = 0).
+    # Each (function, order) is evaluated once per table, so S = {0, 1} takes
+    # y_0 and y_1: two calls, and no yv
     from collections import Counter
 
     from ctinv import specfun
 
     calls = []
-    for name in ("jv", "yv", "jvp", "yvp"):
+    for name in ("jv", "yv", "jvp", "yvp", "spherical_jn", "spherical_yn"):
         fn = getattr(specfun.special, name)
         monkeypatch.setattr(
             specfun.special, name, lambda nu, x, _f=fn, _n=name: calls.append((_n, nu)) or _f(nu, x)
@@ -260,15 +262,18 @@ def test_only_the_used_riccati_halves_are_evaluated(ref2_input, monkeypatch):
 
     grid = RadialGrid(0.01, 60.0)
     kernel = solve_kernel(ref2_input, REF2_T, grid)
-    regular, irregular = orders(REF2_T), orders(ref2_input.ells)
+    assert ref2_input.ells == (0, 1)
     assert Counter(calls) == Counter(
-        [("jv", nu) for nu in regular] + [("yv", nu) for nu in irregular]
+        [("jv", nu) for nu in orders(REF2_T)] + [("spherical_yn", 0), ("spherical_yn", 1)]
     )
-    assert sum(n == "yv" for n, _ in calls) == 4
     calls.clear()
     waves = [transformed_wave(ref2_input, REF2_T, float(e), grid, kernel) for e in ref2_input.ells]
-    assert set(calls) == {("jv", nu) for nu in irregular}
+    # u_0' is cos x; u_1' reads j_0, each wave its own table
+    assert Counter(calls) == Counter({("spherical_jn", 0): 2, ("spherical_jn", 1): 1})
     calls.clear()
     kernel_diag_series(ref2_input, REF2_T, grid, waves)
-    extract_phase(grid.r, waves[0], 0)
-    assert {n for n, _ in calls} == {"jv", "yv"}
+    assert calls == [("spherical_yn", 0), ("spherical_yn", 1)]
+    calls.clear()
+    # a value-only read at l = 1 skips the order 0 of its derivative
+    extract_phase(grid.r, waves[1], 1)
+    assert calls == [("spherical_jn", 1), ("spherical_yn", 1)]

@@ -9,6 +9,8 @@ from scipy import integrate, special
 from ctinv.errors import DomainError, SaturationError
 from ctinv.specfun import (
     RiccatiTables,
+    _as_positive_array,
+    _require_finite,
     _riccati_half,
     _riccati_halves,
     bessel_jy,
@@ -42,6 +44,58 @@ ZEROS_17 = {
     "jp": (2.7003104414199931, 6.302216136971262, 9.5464777262697161),
     "yp": (4.6160162632163612, 7.9356316556536443, 11.145298098570704),
 }
+
+
+def _bessel_halves(lams, x, regular: bool, deriv: bool = True) -> list:
+    """The jv/yv route of _riccati_halves for every order, kept as the reference.
+
+    Before integer orders took the spherical Bessel closed forms, every
+    order went this way: C_nu (J or Y) at nu = lam + 1/2, with scipy's
+    jvp/yvp expression (C_{nu-1} - C_{nu-1+2}) / 2 for the derivative.
+    """
+    for lam in lams:
+        if not math.isfinite(lam) or lam <= -0.5:
+            raise DomainError("order lam must be finite and > -1/2")
+    arr, scalar = _as_positive_array(x, "x")
+    factor = np.sqrt(0.5 * math.pi * arr)
+    fn = special.jv if regular else special.yv
+    memo: dict[float, np.ndarray] = {}  # keyed on the exact float order
+
+    def cyl(nu: float):
+        if nu not in memo:
+            memo[nu] = fn(nu, arr)
+        return memo[nu]
+
+    halves = []
+    for lam in lams:
+        nu = lam + 0.5
+        c = cyl(nu)
+        _require_finite(nu, arr, c)
+        val, dval = factor * c, None
+        if deriv:
+            # scipy's _bessel_diff_formula, operation for operation, so the bits match jvp/yvp
+            s = cyl(nu - 1.0).copy()
+            s += -1.0 * cyl(nu - 1.0 + 2.0)
+            cp = s / 2.0
+            _require_finite(nu, arr, cp)
+            dval = factor * (c / (2.0 * arr) + cp)
+        if scalar:
+            halves.append((float(val), None if dval is None else float(dval)))
+        else:
+            halves.append((val, dval))
+    return halves
+
+
+def _assert_near_reference(lam, x, got, want):
+    """Non-integer orders equal the reference bit for bit; integer orders lie
+    within 1e-12 of the modulus sqrt(u^2 + v^2), or of sqrt(u'^2 + v'^2) for
+    the derivatives, both from the reference."""
+    if lam != int(lam):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        return
+    for g, w, m in zip(got, want, (np.hypot(want[0], want[2]), np.hypot(want[1], want[3])) * 2):
+        assert np.all(np.abs(g - w) <= 1e-12 * m)
 
 
 def test_bessel_jy_reference_values():
@@ -238,24 +292,18 @@ def test_riccati_array_shapes():
 
 
 def test_riccati_fields_are_the_exact_halves():
-    # the halves keep the Bessel-based arithmetic bit for bit, and the
-    # value-only form returns the same value without a derivative
+    # the four fields are the halves bit for bit, and the value-only form
+    # returns the same value without a derivative; against the jv/yv route,
+    # non-integer orders are bit-exact and integer orders near it
     for lam in (-0.45, 0.0, 0.37, 1.0, 2.6, 8.0):
         for x in (2.3, np.linspace(0.05, 40.0, 301)):
-            arr = np.asarray(x, dtype=float)
-            factor = np.sqrt(0.5 * math.pi * arr)
-            j, y, jp, yp = bessel_jy(lam + 0.5, arr)
-            old = (
-                factor * j,
-                factor * (j / (2.0 * arr) + jp),
-                factor * y,
-                factor * (y / (2.0 * arr) + yp),
-            )
             f = riccati(lam, x)
             halves = (*_riccati_half(lam, x, True), *_riccati_half(lam, x, False))
-            for got, half, want in zip(f, halves, old):
-                assert np.array_equal(got, half) and np.array_equal(got, want)
+            for got, half in zip(f, halves):
+                assert np.array_equal(got, half)
                 assert np.ndim(got) == np.ndim(x)
+            old = (*_bessel_halves((lam,), x, True)[0], *_bessel_halves((lam,), x, False)[0])
+            _assert_near_reference(lam, x, f, old)
             for regular, want in ((True, f.u), (False, f.v)):
                 val, none = _riccati_half(lam, x, regular, deriv=False)
                 assert none is None and np.array_equal(val, want)
@@ -285,21 +333,40 @@ def test_regular_half_ignores_irregular_overflow():
 
 @pytest.mark.parametrize("lams", [(0.0, 1.0, 2.0), (0.1944, 1.1944)])
 def test_shared_order_table_equals_per_order_halves(lams):
-    # orders 1 apart share their Bessel evaluations only where the floats are
-    # equal ((1.1944 + 0.5) - 1 is not the float 0.1944 + 0.5); either way
-    # each half equals its own one-order table and scipy's jvp/yvp route
+    # orders 1 apart share their evaluations only where the orders are equal
+    # ((1.1944 + 0.5) - 1 is not the float 0.1944 + 0.5; the integer order l
+    # reads l - 1); either way each half equals its own one-order table.  An
+    # integer order is x j_l(x) or x y_l(x) with the derivative u_{l-1} - (l/x) u_l,
+    # any other order is scipy's jvp/yvp route bit for bit, and every order
+    # matches the jv/yv reference as _assert_near_reference says
     x = np.linspace(0.005, 80.0, 4001)
     factor = np.sqrt(0.5 * math.pi * x)
-    for regular, c, cp in ((True, special.jv, special.jvp), (False, special.yv, special.yvp)):
+    funcs = {
+        True: (special.spherical_jn, np.cos, special.jv, special.jvp),
+        False: (special.spherical_yn, np.sin, special.yv, special.yvp),
+    }
+    halves = {}
+    for regular, (sph, below, c, cp) in funcs.items():
         shared = _riccati_halves(lams, x, regular)
         for lam, (val, dval) in zip(lams, shared):
             one = _riccati_half(lam, x, regular)
-            nu = lam + 0.5
             assert np.array_equal(val, one[0]) and np.array_equal(dval, one[1])
-            assert np.array_equal(val, factor * c(nu, x))
-            assert np.array_equal(dval, factor * (c(nu, x) / (2.0 * x) + cp(nu, x)))
+            if lam == int(lam):
+                ell = int(lam)
+                assert np.array_equal(val, x * sph(ell, x))
+                prev = below(x) if ell == 0 else x * sph(ell - 1, x)
+                assert np.array_equal(dval, prev - (ell / x) * val)
+            else:
+                nu = lam + 0.5
+                assert np.array_equal(val, factor * c(nu, x))
+                assert np.array_equal(dval, factor * (c(nu, x) / (2.0 * x) + cp(nu, x)))
         for (val, none), lam in zip(_riccati_halves(lams, x, regular, deriv=False), lams):
             assert none is None and np.array_equal(val, _riccati_half(lam, x, regular)[0])
+        halves[regular] = (shared, _bessel_halves(lams, x, regular))
+    for k, lam in enumerate(lams):
+        got = (*halves[True][0][k], *halves[False][0][k])
+        want = (*halves[True][1][k], *halves[False][1][k])
+        _assert_near_reference(lam, x, got, want)
 
 
 def test_saturation_message_names_the_table_order():
@@ -309,13 +376,75 @@ def test_saturation_message_names_the_table_order():
         with pytest.raises(SaturationError) as exc:
             _riccati_halves((0.0, 150.0), near, False, deriv=deriv)
         assert str(exc.value) == "Bessel value saturated at nu=150.5, x~0.005"
-    # Y_{150.5} is finite from x = 1.06 on, Y_{151.5} (in its derivative) not yet
+    # Y_{150.4} is finite from x = 1.06 on, Y_{151.4} (in its derivative) not yet
     edge = np.linspace(1.06, 10.0, 200)
     with pytest.raises(SaturationError) as exc:
-        _riccati_half(150.0, edge, False)
-    assert str(exc.value) == "Bessel value saturated at nu=150.5, x~1.06"
-    val, none = _riccati_half(150.0, edge, False, deriv=False)
+        _riccati_half(149.9, edge, False)
+    assert str(exc.value) == "Bessel value saturated at nu=150.4, x~1.06"
+    val, none = _riccati_half(149.9, edge, False, deriv=False)
     assert none is None and np.all(np.isfinite(val))
+    # the integer order 150 takes v'_150 = v_149 - (150/x) v_150, which needs
+    # no Y_{151.5}: finite where the jv/yv route saturated in its derivative
+    with pytest.raises(SaturationError, match=r"nu=150\.5, x~1\.06"):
+        _bessel_halves((150.0,), edge, False)
+    val, dval = _riccati_half(150.0, edge, False)
+    assert np.all(np.isfinite(val)) and np.all(np.isfinite(dval))
+    # and near the reference from the first point where that is finite
+    ok = edge >= 1.2
+    old = (*_bessel_halves((150.0,), edge[ok], True)[0], *_bessel_halves((150.0,), edge[ok], False)[0])
+    new = (*_riccati_half(150.0, edge[ok], True), val[ok], dval[ok])
+    _assert_near_reference(150.0, edge[ok], new, old)
+
+
+@pytest.mark.parametrize("lam", [2.0**31, 1e20])
+def test_integer_orders_beyond_a_c_long_take_the_bessel_route(lam):
+    # scipy's spherical functions take the order as a C long; beyond 2**31 the
+    # jv/yv route answers as it does for a non-integer order: the same values,
+    # or the same saturation
+    x = np.linspace(0.05, 3.0, 60)
+
+    def outcome(halves, regular):
+        try:
+            return halves((lam,), x, regular)[0]
+        except SaturationError as exc:
+            return str(exc)
+
+    for regular in (True, False):
+        want, got = outcome(_bessel_halves, regular), outcome(_riccati_halves, regular)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# every integer order 0..60 on the grid x = k * 0.005 up to 400
+INTEGER_ORDERS = tuple(float(ell) for ell in range(61))
+GRID_400 = np.arange(1, 80001) * 0.005
+
+
+@pytest.fixture(scope="module")
+def integer_halves():
+    return _riccati_halves(INTEGER_ORDERS, GRID_400, True), _riccati_halves(INTEGER_ORDERS, GRID_400, False)
+
+
+def test_integer_orders_stay_near_the_bessel_route(integer_halves):
+    # a 1-in-7 sample of the grid keeps the jv/yv reference to a few seconds
+    # (on the whole grid the worst case is the same, 3.7e-13 of the modulus)
+    pick = slice(None, None, 7)
+    x = GRID_400[pick]
+    old = _bessel_halves(INTEGER_ORDERS, x, True), _bessel_halves(INTEGER_ORDERS, x, False)
+    for k, lam in enumerate(INTEGER_ORDERS):
+        got = tuple(a[pick] for half in integer_halves for a in half[k])
+        _assert_near_reference(lam, x, got, (*old[0][k], *old[1][k]))
+
+
+def test_integer_order_wronskian_is_one_to_rounding(integer_halves):
+    # u v' - u' v = 1 beyond the turning point; the jv/yv route gave up to 2.7e-13
+    (regular, irregular) = integer_halves
+    for lam, (u, du), (v, dv) in zip(INTEGER_ORDERS, regular, irregular):
+        far = GRID_400 > lam + 5.0
+        w = u[far] * dv[far] - du[far] * v[far]
+        assert np.max(np.abs(w - 1.0)) <= 4e-15, lam
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,8 @@ COMMANDS = [
     # radius / step overflows to inf: one line on stderr, exit 1
     ["check", "--ells", "0", "--T=-0.4", "--lambda", "1e308"],
     ["forward", "--ws", "1,1,0.4", "--ellmax", "8", "--out", "ws.csv"],
+    # the top channels' windows lie below x = ell, where spherical_jn changes its method
+    ["forward", "--ws", "1,1,0.4", "--ellmax", "60"],
     # a repulsive barrier: phi passes 1e250 inside it (the integrator's
     # rescale branch) and leaves it near 1e183 (the scaled extraction fit)
     ["forward", "--ws=-1e4,6,0.4", "--ellmax", "1", "--out", "ws_barrier.csv"],
