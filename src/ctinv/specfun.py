@@ -133,17 +133,17 @@ def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     """One half of the Riccati pair per order: (u, u') from J or (v, v') from Y.
 
     The derivative is None when `deriv` is false, so callers that read
-    only values skip the Bessel orders it needs.  An integer order l
-    (below 2**31, a C long to scipy) uses the spherical Bessel closed
-    forms u_l = x j_l(x), v_l = x y_l(x) and u_l' = u_{l-1} - (l/x) u_l
-    (DLMF 10.51.2), with u_{-1} = cos x and v_{-1} = sin x, so its
-    derivative needs the order l - 1 alone.  Any other order uses C_nu
-    (J or Y) at nu = lam + 1/2 with scipy's own jvp/yvp expression
-    (C_{nu-1} - C_{nu-1+2}) / 2 for the derivative, so that half equals
-    the jvp/yvp route bit for bit.  Each distinct order is evaluated once
-    per call and shared between the values and derivatives of all `lams`.
-    Every value and derivative computed is checked for saturation, order
-    by order.
+    only values skip the Bessel orders it needs.  An integer order
+    l <= 500 takes the spherical Bessel closed forms u_l = x j_l(x),
+    v_l = x y_l(x) and u_l' = u_{l-1} - (l/x) u_l (DLMF 10.51.2), with
+    u_{-1} = cos x and v_{-1} = sin x, so its derivative reads order l - 1
+    alone (scipy recurs over l at each point, which costs more than jv/yv
+    above l ~ 500).  Any other order uses C_nu (J or Y) at nu = lam + 1/2
+    with scipy's own jvp/yvp expression (C_{nu-1} - C_{nu-1+2}) / 2 for
+    the derivative, so that half equals the jvp/yvp route bit for bit.
+    Each distinct order is evaluated once per call and shared between the
+    values and derivatives of all `lams`.  Every value and derivative
+    computed is checked for saturation, order by order.
     """
     for lam in lams:
         if not math.isfinite(lam) or lam <= -0.5:
@@ -166,7 +166,7 @@ def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     halves = []
     for lam in lams:
         nu = lam + 0.5
-        if 0 <= lam < 2**31 and lam == int(lam):
+        if 0 <= lam <= 500 and lam == int(lam):
             ell = int(lam)
             val, dval = ric(ell), None
             _require_finite(nu, arr, val)
@@ -211,7 +211,7 @@ class RiccatiTables:
     length: a request at least that long raises a new exception of the
     same type and message and evaluates nothing.  `counts()` gives the
     tables `filled` from empty and the `bessel_points` evaluated, three
-    per point at every order (an integer order reads two spherical ones).
+    per point at every order (an integer order <= 500 reads two spherical ones).
     """
 
     def __init__(self, step: float):

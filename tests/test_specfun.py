@@ -86,7 +86,7 @@ def _bessel_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     return halves
 
 
-def _assert_near_reference(lam, x, got, want):
+def _assert_near_reference(lam, got, want):
     """Non-integer orders equal the reference bit for bit; integer orders lie
     within 1e-12 of the modulus sqrt(u^2 + v^2), or of sqrt(u'^2 + v'^2) for
     the derivatives, both from the reference."""
@@ -303,7 +303,7 @@ def test_riccati_fields_are_the_exact_halves():
                 assert np.array_equal(got, half)
                 assert np.ndim(got) == np.ndim(x)
             old = (*_bessel_halves((lam,), x, True)[0], *_bessel_halves((lam,), x, False)[0])
-            _assert_near_reference(lam, x, f, old)
+            _assert_near_reference(lam, f, old)
             for regular, want in ((True, f.u), (False, f.v)):
                 val, none = _riccati_half(lam, x, regular, deriv=False)
                 assert none is None and np.array_equal(val, want)
@@ -366,7 +366,7 @@ def test_shared_order_table_equals_per_order_halves(lams):
     for k, lam in enumerate(lams):
         got = (*halves[True][0][k], *halves[False][0][k])
         want = (*halves[True][1][k], *halves[False][1][k])
-        _assert_near_reference(lam, x, got, want)
+        _assert_near_reference(lam, got, want)
 
 
 def test_saturation_message_names_the_table_order():
@@ -391,17 +391,17 @@ def test_saturation_message_names_the_table_order():
     assert np.all(np.isfinite(val)) and np.all(np.isfinite(dval))
     # and near the reference from the first point where that is finite
     ok = edge >= 1.2
-    old = (*_bessel_halves((150.0,), edge[ok], True)[0], *_bessel_halves((150.0,), edge[ok], False)[0])
-    new = (*_riccati_half(150.0, edge[ok], True), val[ok], dval[ok])
-    _assert_near_reference(150.0, edge[ok], new, old)
+    x = edge[ok]
+    old = (*_bessel_halves((150.0,), x, True)[0], *_bessel_halves((150.0,), x, False)[0])
+    _assert_near_reference(150.0, (*_riccati_half(150.0, x, True), val[ok], dval[ok]), old)
 
 
-@pytest.mark.parametrize("lam", [2.0**31, 1e20])
-def test_integer_orders_beyond_a_c_long_take_the_bessel_route(lam):
-    # scipy's spherical functions take the order as a C long; beyond 2**31 the
-    # jv/yv route answers as it does for a non-integer order: the same values,
-    # or the same saturation
-    x = np.linspace(0.05, 3.0, 60)
+@pytest.mark.parametrize("lam", [501.0, 1e20])
+def test_integer_orders_above_500_take_the_bessel_route(lam):
+    # scipy's spherical functions recur over the order at each point, and take
+    # it as a C long; above 500 the jv/yv route answers as it does for a
+    # non-integer order: the same values, or the same saturation
+    x = np.linspace(400.0, 700.0, 60)
 
     def outcome(halves, regular):
         try:
@@ -424,7 +424,7 @@ GRID_400 = np.arange(1, 80001) * 0.005
 
 @pytest.fixture(scope="module")
 def integer_halves():
-    return _riccati_halves(INTEGER_ORDERS, GRID_400, True), _riccati_halves(INTEGER_ORDERS, GRID_400, False)
+    return tuple(_riccati_halves(INTEGER_ORDERS, GRID_400, regular) for regular in (True, False))
 
 
 def test_integer_orders_stay_near_the_bessel_route(integer_halves):
@@ -435,7 +435,7 @@ def test_integer_orders_stay_near_the_bessel_route(integer_halves):
     old = _bessel_halves(INTEGER_ORDERS, x, True), _bessel_halves(INTEGER_ORDERS, x, False)
     for k, lam in enumerate(INTEGER_ORDERS):
         got = tuple(a[pick] for half in integer_halves for a in half[k])
-        _assert_near_reference(lam, x, got, (*old[0][k], *old[1][k]))
+        _assert_near_reference(lam, got, (*old[0][k], *old[1][k]))
 
 
 def test_integer_order_wronskian_is_one_to_rounding(integer_halves):
