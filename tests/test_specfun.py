@@ -422,29 +422,24 @@ INTEGER_ORDERS = tuple(float(ell) for ell in range(61))
 GRID_400 = np.arange(1, 80001) * 0.005
 
 
-@pytest.fixture(scope="module")
-def integer_halves():
-    return tuple(_riccati_halves(INTEGER_ORDERS, GRID_400, regular) for regular in (True, False))
-
-
-def test_integer_orders_stay_near_the_bessel_route(integer_halves):
+def test_integer_orders_stay_near_the_bessel_route():
     # a 1-in-7 sample of the grid keeps the jv/yv reference to a few seconds
     # (on the whole grid the worst case is the same, 3.7e-13 of the modulus)
-    pick = slice(None, None, 7)
-    x = GRID_400[pick]
-    old = _bessel_halves(INTEGER_ORDERS, x, True), _bessel_halves(INTEGER_ORDERS, x, False)
+    x = GRID_400[::7]
+    new, old = (
+        [halves(INTEGER_ORDERS, x, regular) for regular in (True, False)]
+        for halves in (_riccati_halves, _bessel_halves)
+    )
     for k, lam in enumerate(INTEGER_ORDERS):
-        got = tuple(a[pick] for half in integer_halves for a in half[k])
-        _assert_near_reference(lam, got, (*old[0][k], *old[1][k]))
+        _assert_near_reference(lam, (*new[0][k], *new[1][k]), (*old[0][k], *old[1][k]))
 
 
-def test_integer_order_wronskian_is_one_to_rounding(integer_halves):
+def test_integer_order_wronskian_is_one_to_rounding():
     # u v' - u' v = 1 beyond the turning point; the jv/yv route gave up to 2.7e-13
-    (regular, irregular) = integer_halves
-    for lam, (u, du), (v, dv) in zip(INTEGER_ORDERS, regular, irregular):
-        far = GRID_400 > lam + 5.0
-        w = u[far] * dv[far] - du[far] * v[far]
-        assert np.max(np.abs(w - 1.0)) <= 4e-15, lam
+    for lam in INTEGER_ORDERS:
+        x = GRID_400[GRID_400 > lam + 5.0]
+        (u, du), (v, dv) = _riccati_half(lam, x, True), _riccati_half(lam, x, False)
+        assert np.max(np.abs(u * dv - du * v - 1.0)) <= 4e-15, lam
 
 
 @pytest.mark.parametrize(
