@@ -1,8 +1,9 @@
 """Cylinder and Riccati-Bessel functions at real order, plus their zeros.
 
-All routines are pure functions of their arguments (no hidden state), accept
-scalar or array abscissae, and raise typed errors instead of returning
-inf/nan.  Orders are real; the radial functions used elsewhere in the
+The functions accept scalar or array abscissae and raise typed errors
+instead of returning inf/nan; each result depends on its arguments alone.
+The one stateful object is `RiccatiTables`, a memo of Riccati halves on a
+fixed grid.  Orders are real; the radial functions used elsewhere in the
 package are
 
     u_lam(x) = sqrt(pi x / 2) J_{lam+1/2}(x)      (regular at x = 0)
@@ -133,57 +134,39 @@ def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     """One half of the Riccati pair per order: (u, u') from J or (v, v') from Y.
 
     The derivative is None when `deriv` is false, so callers that read
-    only values skip the Bessel orders it needs.  An integer order
-    l <= 500 takes the spherical Bessel closed forms u_l = x j_l(x),
-    v_l = x y_l(x) and u_l' = u_{l-1} - (l/x) u_l (DLMF 10.51.2), with
-    u_{-1} = cos x and v_{-1} = sin x, so its derivative reads order l - 1
-    alone (scipy recurs over l at each point, which costs more than jv/yv
-    above l ~ 500).  Any other order uses C_nu (J or Y) at nu = lam + 1/2
-    with scipy's own jvp/yvp expression (C_{nu-1} - C_{nu-1+2}) / 2 for
-    the derivative, so that half equals the jvp/yvp route bit for bit.
-    Each distinct order is evaluated once per call and shared between the
-    values and derivatives of all `lams`.  Every value and derivative
-    computed is checked for saturation, order by order.
+    only values skip the order it needs.  Every order takes its derivative
+    from u_lam' = u_{lam-1} - (lam/x) u_lam (DLMF 10.6.2), so each half
+    reads two orders, lam and lam - 1.  The value at an order comes from
+    cos x or sin x at lam = -1; from the spherical Bessel closed forms
+    u_l = x j_l(x), v_l = x y_l(x) at an integer 0 <= l <= 500 (scipy
+    recurs over l at each point, which costs more than jv/yv above
+    l ~ 500); and from sqrt(pi x / 2) C_{lam+1/2} (J or Y) at any other
+    order.  Each distinct order is evaluated once per call and shared
+    between the values and derivatives of all `lams`.  Every value and
+    derivative computed is checked for saturation, order by order.
     """
     for lam in lams:
         if not math.isfinite(lam) or lam <= -0.5:
             raise DomainError("order lam must be finite and > -1/2")
     arr, scalar = _as_positive_array(x, "x")
-    factor = np.sqrt(0.5 * math.pi * arr)
     fn = special.jv if regular else special.yv
     sph = special.spherical_jn if regular else special.spherical_yn
 
     @functools.cache  # keyed on the exact float order
-    def cyl(nu: float):
-        return fn(nu, arr)
-
-    @functools.cache
-    def ric(ell: int):
-        if ell < 0:
+    def ric(lam: float):
+        if lam == -1.0:
             return np.cos(arr) if regular else np.sin(arr)
-        return arr * sph(ell, arr)
+        if 0 <= lam <= 500 and lam == int(lam):
+            return arr * sph(int(lam), arr)
+        return np.sqrt(0.5 * math.pi * arr) * fn(lam + 0.5, arr)
 
     halves = []
     for lam in lams:
-        nu = lam + 0.5
-        if 0 <= lam <= 500 and lam == int(lam):
-            ell = int(lam)
-            val, dval = ric(ell), None
-            _require_finite(nu, arr, val)
-            if deriv:
-                dval = ric(ell - 1) - (ell / arr) * val
-                _require_finite(nu, arr, dval)
-        else:
-            c = cyl(nu)
-            _require_finite(nu, arr, c)
-            val, dval = factor * c, None
-            if deriv:
-                # scipy's _bessel_diff_formula, operation for operation, so the bits match jvp/yvp
-                s = cyl(nu - 1.0).copy()
-                s += -1.0 * cyl(nu - 1.0 + 2.0)
-                cp = s / 2.0
-                _require_finite(nu, arr, cp)
-                dval = factor * (c / (2.0 * arr) + cp)
+        val, dval = ric(lam), None
+        _require_finite(lam + 0.5, arr, val)
+        if deriv:
+            dval = ric(lam - 1.0) - (lam / arr) * val
+            _require_finite(lam + 0.5, arr, dval)
         if scalar:
             halves.append((float(val), None if dval is None else float(dval)))
         else:
@@ -210,8 +193,9 @@ class RiccatiTables:
     CtinvError (a saturated Y near the origin) is remembered with its
     length: a request at least that long raises a new exception of the
     same type and message and evaluates nothing.  `counts()` gives the
-    tables `filled` from empty and the `bessel_points` evaluated, three
-    per point at every order (an integer order <= 500 reads two spherical ones).
+    tables `filled` from empty and the `bessel_points` evaluated, counted
+    as three per point at every order although each half reads two orders
+    (lam and lam - 1), so the counts stay comparable with earlier reports.
     """
 
     def __init__(self, step: float):
@@ -266,8 +250,8 @@ def riccati(lam: float, x) -> FunctionPair:
     """Riccati-Bessel pair u_lam, v_lam and derivatives at x > 0.
 
     The order must satisfy lam > -1/2 so that u is the recessive solution at
-    the origin.  Derivatives follow from d/dx [sqrt(x) C_nu(x)] =
-    sqrt(x) [C_nu/(2x) + C_nu'].
+    the origin.  Derivatives follow from u_lam' = u_{lam-1} - (lam/x) u_lam,
+    and likewise for v.
     """
     return FunctionPair(*_riccati_half(lam, x, True), *_riccati_half(lam, x, False))
 

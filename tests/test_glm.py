@@ -241,9 +241,9 @@ def test_kernel_from_another_grid_or_T_is_refused(ref2_input):
 
 def test_only_the_used_riccati_halves_are_evaluated(ref2_input, monkeypatch):
     # u and u' for T, v and v' for S; values alone where only values are read.
-    # A non-integer order's derivative needs J at nu - 1 and (nu - 1) + 2
-    # (scipy's jvp expression); an integer order l takes the spherical function
-    # at l and its derivative that at l - 1 alone (cos x or sin x at l = 0).
+    # Every derivative is u_{lam-1} - (lam/x) u_lam: a non-integer order reads
+    # J at lam + 1/2 and (lam - 1) + 1/2 and no jvp; an integer order l takes
+    # the spherical function at l and l - 1 (cos x or sin x at l = 0).
     # Each (function, order) is evaluated once per table, so S = {0, 1} takes
     # y_0 and y_1: two calls, and no yv
     from collections import Counter
@@ -258,7 +258,7 @@ def test_only_the_used_riccati_halves_are_evaluated(ref2_input, monkeypatch):
         )
 
     def orders(lams):
-        return {nu for lam in lams for nu in (lam + 0.5, lam + 0.5 - 1.0, lam + 0.5 - 1.0 + 2.0)}
+        return {nu for lam in lams for nu in (lam + 0.5, (lam - 1.0) + 0.5)}
 
     grid = RadialGrid(0.01, 60.0)
     kernel = solve_kernel(ref2_input, REF2_T, grid)

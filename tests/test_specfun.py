@@ -49,9 +49,11 @@ ZEROS_17 = {
 def _bessel_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     """The jv/yv route of _riccati_halves for every order, kept as the reference.
 
-    Before integer orders took the spherical Bessel closed forms, every
-    order went this way: C_nu (J or Y) at nu = lam + 1/2, with scipy's
-    jvp/yvp expression (C_{nu-1} - C_{nu-1+2}) / 2 for the derivative.
+    Before integer orders took the spherical Bessel closed forms and every
+    derivative took u_{lam-1} - (lam/x) u_lam, every order went this way:
+    C_nu (J or Y) at nu = lam + 1/2, with scipy's jvp/yvp expression
+    (C_{nu-1} - C_{nu-1+2}) / 2 for the derivative, so its halves equal
+    sqrt(pi x / 2) times jv/yv and the jvp/yvp route bit for bit.
     """
     for lam in lams:
         if not math.isfinite(lam) or lam <= -0.5:
@@ -87,15 +89,16 @@ def _bessel_halves(lams, x, regular: bool, deriv: bool = True) -> list:
 
 
 def _assert_near_reference(lam, got, want):
-    """Non-integer orders equal the reference bit for bit; integer orders lie
-    within 1e-12 of the modulus sqrt(u^2 + v^2), or of sqrt(u'^2 + v'^2) for
-    the derivatives, both from the reference."""
-    if lam != int(lam):
-        for g, w in zip(got, want):
+    """Compare (u, u', v, v') with the reference: the values u, v at a
+    non-integer order equal it bit for bit, integer-order values lie within
+    1e-12 of the modulus sqrt(u^2 + v^2), and the derivatives of every order
+    within 1e-12 of sqrt(u'^2 + v'^2), both moduli from the reference."""
+    moduli = (np.hypot(want[0], want[2]), np.hypot(want[1], want[3])) * 2
+    for k, (g, w, m) in enumerate(zip(got, want, moduli)):
+        if k % 2 == 0 and lam != int(lam):
             assert np.array_equal(g, w)
-        return
-    for g, w, m in zip(got, want, (np.hypot(want[0], want[2]), np.hypot(want[1], want[3])) * 2):
-        assert np.all(np.abs(g - w) <= 1e-12 * m)
+        else:
+            assert np.all(np.abs(g - w) <= 1e-12 * m)
 
 
 def test_bessel_jy_reference_values():
@@ -294,7 +297,7 @@ def test_riccati_array_shapes():
 def test_riccati_fields_are_the_exact_halves():
     # the four fields are the halves bit for bit, and the value-only form
     # returns the same value without a derivative; against the jv/yv route,
-    # non-integer orders are bit-exact and integer orders near it
+    # non-integer values are bit-exact and the rest near it
     for lam in (-0.45, 0.0, 0.37, 1.0, 2.6, 8.0):
         for x in (2.3, np.linspace(0.05, 40.0, 301)):
             f = riccati(lam, x)
@@ -331,35 +334,40 @@ def test_regular_half_ignores_irregular_overflow():
         _riccati_half(150.0, x, False, deriv=False)
 
 
-@pytest.mark.parametrize("lams", [(0.0, 1.0, 2.0), (0.1944, 1.1944)])
+# the orders the pipeline tables: ref1's T, ref2's T and ws3's physical T
+PIPELINE_T = (-0.4, -0.3056, 0.9295, 1.997)
+
+
+@pytest.mark.parametrize("lams", [(0.0, 1.0, 2.0), (0.1944, 1.1944), PIPELINE_T])
 def test_shared_order_table_equals_per_order_halves(lams):
     # orders 1 apart share their evaluations only where the orders are equal
-    # ((1.1944 + 0.5) - 1 is not the float 0.1944 + 0.5; the integer order l
-    # reads l - 1); either way each half equals its own one-order table.  An
-    # integer order is x j_l(x) or x y_l(x) with the derivative u_{l-1} - (l/x) u_l,
-    # any other order is scipy's jvp/yvp route bit for bit, and every order
-    # matches the jv/yv reference as _assert_near_reference says
+    # (1.1944 - 1 is not the float 0.1944; the integer order l reads l - 1);
+    # either way each half equals its own one-order table.  Every value is
+    # x j_l(x) or x y_l(x) at an integer order, sqrt(pi x / 2) J or Y at
+    # lam + 1/2 at any other, every derivative u_{lam-1} - (lam/x) u_lam with
+    # u_{-1} = cos x, v_{-1} = sin x, and every order matches the jv/yv
+    # reference as _assert_near_reference says
     x = np.linspace(0.005, 80.0, 4001)
-    factor = np.sqrt(0.5 * math.pi * x)
     funcs = {
-        True: (special.spherical_jn, np.cos, special.jv, special.jvp),
-        False: (special.spherical_yn, np.sin, special.yv, special.yvp),
+        True: (special.spherical_jn, np.cos, special.jv),
+        False: (special.spherical_yn, np.sin, special.yv),
     }
     halves = {}
-    for regular, (sph, below, c, cp) in funcs.items():
+    for regular, (sph, below, c) in funcs.items():
+
+        def value(lam):
+            if lam == -1.0:
+                return below(x)
+            if lam == int(lam):
+                return x * sph(int(lam), x)
+            return np.sqrt(0.5 * math.pi * x) * c(lam + 0.5, x)
+
         shared = _riccati_halves(lams, x, regular)
         for lam, (val, dval) in zip(lams, shared):
             one = _riccati_half(lam, x, regular)
             assert np.array_equal(val, one[0]) and np.array_equal(dval, one[1])
-            if lam == int(lam):
-                ell = int(lam)
-                assert np.array_equal(val, x * sph(ell, x))
-                prev = below(x) if ell == 0 else x * sph(ell - 1, x)
-                assert np.array_equal(dval, prev - (ell / x) * val)
-            else:
-                nu = lam + 0.5
-                assert np.array_equal(val, factor * c(nu, x))
-                assert np.array_equal(dval, factor * (c(nu, x) / (2.0 * x) + cp(nu, x)))
+            assert np.array_equal(val, value(lam))
+            assert np.array_equal(dval, value(lam - 1.0) - (lam / x) * val)
         for (val, none), lam in zip(_riccati_halves(lams, x, regular, deriv=False), lams):
             assert none is None and np.array_equal(val, _riccati_half(lam, x, regular)[0])
         halves[regular] = (shared, _bessel_halves(lams, x, regular))
@@ -376,31 +384,31 @@ def test_saturation_message_names_the_table_order():
         with pytest.raises(SaturationError) as exc:
             _riccati_halves((0.0, 150.0), near, False, deriv=deriv)
         assert str(exc.value) == "Bessel value saturated at nu=150.5, x~0.005"
-    # Y_{150.4} is finite from x = 1.06 on, Y_{151.4} (in its derivative) not yet
+    # Y_{150.4} is finite from x = 1.06 on, Y_{151.4} not yet.  v'_lam =
+    # v_{lam-1} - (lam/x) v_lam reads Y_{149.4} and no Y_{151.4}, so the
+    # half is finite where the jv/yv route saturated in its derivative;
+    # the same holds for the integer order 150, which needs no Y_{151.5}
     edge = np.linspace(1.06, 10.0, 200)
-    with pytest.raises(SaturationError) as exc:
-        _riccati_half(149.9, edge, False)
-    assert str(exc.value) == "Bessel value saturated at nu=150.4, x~1.06"
-    val, none = _riccati_half(149.9, edge, False, deriv=False)
-    assert none is None and np.all(np.isfinite(val))
-    # the integer order 150 takes v'_150 = v_149 - (150/x) v_150, which needs
-    # no Y_{151.5}: finite where the jv/yv route saturated in its derivative
-    with pytest.raises(SaturationError, match=r"nu=150\.5, x~1\.06"):
-        _bessel_halves((150.0,), edge, False)
-    val, dval = _riccati_half(150.0, edge, False)
-    assert np.all(np.isfinite(val)) and np.all(np.isfinite(dval))
-    # and near the reference from the first point where that is finite
-    ok = edge >= 1.2
-    x = edge[ok]
-    old = (*_bessel_halves((150.0,), x, True)[0], *_bessel_halves((150.0,), x, False)[0])
-    _assert_near_reference(150.0, (*_riccati_half(150.0, x, True), val[ok], dval[ok]), old)
+    for lam in (149.9, 150.0):
+        with pytest.raises(SaturationError) as exc:
+            _bessel_halves((lam,), edge, False)
+        assert str(exc.value) == f"Bessel value saturated at nu={lam + 0.5:g}, x~1.06"
+        val, dval = _riccati_half(lam, edge, False)
+        assert np.all(np.isfinite(val)) and np.all(np.isfinite(dval))
+        # and near the reference from the first point where that is finite
+        ok = edge >= 1.2
+        x = edge[ok]
+        old = (*_bessel_halves((lam,), x, True)[0], *_bessel_halves((lam,), x, False)[0])
+        _assert_near_reference(lam, (*_riccati_half(lam, x, True), val[ok], dval[ok]), old)
 
 
 @pytest.mark.parametrize("lam", [501.0, 1e20])
 def test_integer_orders_above_500_take_the_bessel_route(lam):
     # scipy's spherical functions recur over the order at each point, and take
-    # it as a C long; above 500 the jv/yv route answers as it does for a
-    # non-integer order: the same values, or the same saturation
+    # it as a C long; above 500 the value takes the jv/yv route as it does for
+    # a non-integer order: the reference's values, or its saturation.  The
+    # derivative is u_{lam-1} - (lam/x) u_lam as at every order, near the
+    # reference's (501 reads the spherical order 500; 1e20 - 1 is 1e20)
     x = np.linspace(400.0, 700.0, 60)
 
     def outcome(halves, regular):
@@ -409,12 +417,17 @@ def test_integer_orders_above_500_take_the_bessel_route(lam):
         except SaturationError as exc:
             return str(exc)
 
-    for regular in (True, False):
-        want, got = outcome(_bessel_halves, regular), outcome(_riccati_halves, regular)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    got, want = ([outcome(halves, r) for r in (True, False)] for halves in (_riccati_halves, _bessel_halves))
+    for regular, g, w in zip((True, False), got, want):
+        if isinstance(w, str):
+            assert g == w
+            continue
+        val, dval = g
+        assert np.array_equal(val, w[0])
+        below, _ = _riccati_half(lam - 1.0, x, regular, deriv=False)
+        assert np.array_equal(dval, below - (lam / x) * val)
+    if not any(isinstance(w, str) for w in want):
+        _assert_near_reference(lam, (*got[0], *got[1]), (*want[0], *want[1]))
 
 
 # every integer order 0..60 on the grid x = k * 0.005 up to 400
