@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .consistency import (
     SCAN_RESOLUTION,
-    _parity,
     admissible_1d,
     admissibility_map,
     scan_zeros,
@@ -269,6 +268,7 @@ def _verdict_dict(verdict) -> dict:
         "settled": verdict.settled,
         "zeros": list(verdict.zeros),
         "scan_r_max": verdict.r_max,
+        "parity": verdict.parity,
     }
 
 
@@ -370,14 +370,8 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
             )
             return EXIT_NO_ADMISSIBLE, report, None
         sel = select_physical(input_set, solve.candidates, resolution=cfg.scan_resolution)
-        ells = np.asarray(input_set.ells, dtype=float)
         report["candidates"] = [
-            {
-                "T": list(cand.Ls),
-                "cos_cond": cond,
-                "parity": _parity(ells, np.asarray(cand.Ls)),
-                **_verdict_dict(verdict),
-            }
+            {"T": list(cand.Ls), "cos_cond": cond, **_verdict_dict(verdict)}
             for cand, cond, verdict in zip(solve.candidates, solve.cos_cond, sel.verdicts)
         ]
         report["ambiguous"] = sel.ambiguous
@@ -514,13 +508,11 @@ def cmd_check(args) -> tuple[int, dict | None]:
         raise ParseError("--ells and --T must have the same length")
     shifted = ShiftedSet(tuple(args.T))
     verdict = scan_zeros(ells, shifted, r_max=args.lam, resolution=cfg.scan_resolution)
-    ells_arr = np.asarray(ells, dtype=float)
-    cond = _cos_cond(ells_arr, [shifted])[0]
+    cond = _cos_cond(np.asarray(ells, dtype=float), [shifted])[0]
     report = {
         "S": list(ells),
         "T": list(shifted.Ls),
         "cos_cond": cond if math.isfinite(cond) else None,
-        "parity": _parity(ells_arr, np.asarray(shifted.Ls)),
         **_verdict_dict(verdict),
     }
     if len(ells) == 1:

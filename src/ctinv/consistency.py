@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ctcore import InputSet, ShiftedSet, _as_Ls, _as_ells, _as_pair, _kappa
-from .errors import DomainError, InternalInconsistencyError
+from .errors import CtinvError, DomainError, InternalInconsistencyError
 from .glm import _det_scale, _glm_matrix, _halves
 from .specfun import RiccatiTables
 
@@ -43,16 +43,19 @@ MAX_SCAN_SAMPLES = 2**24  # samples per table of the longest scan: 268 MB of val
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
-    """Scan outcome: zeros found (if any) and whether the scan settled.
+    """Scan outcome: zeros found (if any), whether the scan settled, and the parity.
 
     `admissible` is derived: a settled scan that found no zero.  A located
     zero settles the scan; an unsettled verdict has no zeros, because D had
     not converged onto its limit within the allowed range doublings.
+    `parity` is _parity of the end signs the scan evaluated: "odd", "even",
+    or None where the sign of D(infinity) is not resolved.
     """
 
     zeros: tuple[float, ...]
     r_max: float
     settled: bool
+    parity: str | None = None
 
     @property
     def admissible(self) -> bool:
@@ -102,14 +105,14 @@ def _end_signs(ells, Ls) -> tuple[float, float]:
     return float(np.prod(np.sign(cauchy))), at_inf
 
 
-def _parity(ells, Ls) -> str | None:
+def _parity(at_origin: float, at_inf: float) -> str | None:
     """"odd" or "even": the parity of the number of zeros of D on r > 0.
 
-    None when the sign of D(infinity) is not resolved (det M_cos near 0).
-    An odd parity proves a zero, so T is inadmissible; an even one proves
-    nothing, since zeros may come in pairs.
+    Takes the end signs of _end_signs.  None when the sign of D(infinity)
+    is not resolved (det M_cos near 0).  An odd parity proves a zero, so T
+    is inadmissible; an even one proves nothing, since zeros may come in
+    pairs.
     """
-    at_origin, at_inf = _end_signs(ells, Ls)
     if not at_inf:
         return None
     return "even" if at_origin == at_inf else "odd"
@@ -193,7 +196,8 @@ def _scan(ells, Ls, r_max: float | None, tables: RiccatiTables) -> Admissibility
     resolution = tables.step
     radius = float(r_max) if r_max is not None else _default_radius(ells, Ls)
     _check_scan(r_max, resolution, radius)
-    at_inf = _end_signs(ells, Ls)[1]
+    at_origin, at_inf = _end_signs(ells, Ls)
+    parity = _parity(at_origin, at_inf)
     det = scale = np.empty(0)
 
     for attempt in range(MAX_DOUBLINGS + 1):
@@ -228,8 +232,8 @@ def _scan(ells, Ls, r_max: float | None, tables: RiccatiTables) -> Admissibility
             settled = math.copysign(1.0, d_end) == at_inf
         if settled or zeros:
             # a located zero decides inadmissibility regardless of settlement
-            return AdmissibilityVerdict(tuple(zeros), float(span), True)
-    return AdmissibilityVerdict((), float(span), False)
+            return AdmissibilityVerdict(tuple(zeros), float(span), True, parity)
+    return AdmissibilityVerdict((), float(span), False, parity)
 
 
 @dataclass
@@ -320,6 +324,9 @@ def admissibility_map(
     All cells share one RiccatiTables, kept until the map returns: the
     v_ell tables of S and the u_L table of each lattice value are built
     once per map, each as long as the longest scan that read it.  The
+    v_ell tables are built before the sweep, as long as the shortest cell
+    scan, when there is a cell to scan; if that fill fails (a saturated
+    v_ell of a large ell), every cell gets its error without a scan.  The
     cells go to the threads one lattice row at a time, in cell order, and
     at most two rows of them are in flight.  `tables` holds the counts.
     """
@@ -354,8 +361,17 @@ def admissibility_map(
     ]
 
     tables = RiccatiTables(scan_resolution)
+    failed = None
+    if any(rows):
+        radius = MIN_SCAN_RADIUS if r_max is None else float(r_max)
+        try:
+            tables.halves(ells_arr, False, int(radius / scan_resolution))
+        except CtinvError as exc:
+            failed = f"{type(exc).__name__}: {exc}"
 
     def work(idx: tuple[int, int]):
+        if failed is not None:
+            return False, failed
         # valid() is the cell check: it refuses every pair that _as_pair would
         i, j = idx
         Ls = np.array(sorted((float(axis1[i]), float(axis2[j]))))

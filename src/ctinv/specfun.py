@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import BracketingError, CtinvError, DomainError, SaturationError
+from .errors import BracketingError, DomainError, SaturationError
 
 __all__ = [
     "FunctionPair",
@@ -190,22 +190,18 @@ class RiccatiTables:
     that owns one builds each table once.  Threads may share one instance:
     each table fills under its own lock, so no fill runs twice and no
     table is replaced by a shorter one.  A fill that fails with a
-    CtinvError (a saturated Y near the origin) is remembered with its
-    length: a request at least that long raises a new exception of the
-    same type and message and evaluates nothing.  `counts()` gives the
-    tables `filled` from empty and the `bessel_points` evaluated, counted
-    as three per point at every order although each half reads two orders
-    (lam and lam - 1), so the counts stay comparable with earlier reports.
+    CtinvError (a saturated Y near the origin) stores nothing, so a later
+    request evaluates it again.  `counts()` derives its numbers from the
+    tables: `filled` is the number of tables and `bessel_points` three per
+    point held, at every order although each half reads two orders (lam
+    and lam - 1), so the counts stay comparable with earlier reports.
     """
 
     def __init__(self, step: float):
         self.step = float(step)  # checked by the callers: scans refuse a bad step
         self._tables: dict[tuple[bool, float], tuple[np.ndarray, np.ndarray]] = {}
         self._locks: dict[tuple[bool, float], threading.Lock] = {}
-        # a failed fill: its length, error type and arguments (no traceback is kept alive)
-        self._failed: dict[tuple[bool, float], tuple[int, type, tuple]] = {}
-        self._guard = threading.Lock()  # the dicts and the counts
-        self._counts = {"filled": 0, "bessel_points": 0}
+        self._guard = threading.Lock()  # the dicts
 
     def halves(self, lams, regular: bool, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """(value, derivative) of each order on the first n grid points."""
@@ -219,31 +215,21 @@ class RiccatiTables:
         with lock:
             with self._guard:
                 held = self._tables.get(key)
-                failed = self._failed.get(key)
-            if failed is not None and n >= failed[0]:
-                raise failed[1](*failed[2])
             have = 0 if held is None else len(held[0])
             if have < n:
                 x = np.arange(have + 1, n + 1, dtype=float) * self.step
-                try:
-                    new = _riccati_halves((key[1],), x, key[0])[0]
-                except CtinvError as exc:
-                    with self._guard:
-                        self._failed[key] = (n, type(exc), exc.args)
-                    raise
+                new = _riccati_halves((key[1],), x, key[0])[0]
                 held = new if held is None else tuple(map(np.concatenate, zip(held, new)))
                 for arr in held:  # callers get views of the shared table
                     arr.flags.writeable = False
                 with self._guard:
                     self._tables[key] = held
-                    counts = self._counts
-                    counts["filled"] += have == 0
-                    counts["bessel_points"] += 3 * (n - have)
         return held[0][:n], held[1][:n]
 
     def counts(self) -> dict[str, int]:
         with self._guard:
-            return dict(self._counts)
+            held = list(self._tables.values())
+        return {"filled": len(held), "bessel_points": 3 * sum(len(val) for val, _ in held)}
 
 
 def riccati(lam: float, x) -> FunctionPair:

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ctinv import cli
+from ctinv import cli, consistency
 from ctinv.consistency import AdmissibilityMap
 from ctinv.forward import PhaseRow, PhaseShiftTable
 
@@ -112,6 +112,20 @@ def test_cos_cond_is_computed_once_per_candidate_and_reported(tmp_path, capsys, 
     assert (len(conds), len(solves)) == (1, 1)
     rep = _report(out)
     assert (rep["cos_cond"], rep["parity"]) == (cond(*conds[0])[0], "even")
+
+
+def test_end_signs_are_evaluated_once_per_candidate(tmp_path, capsys, monkeypatch):
+    # the scan evaluates them and its verdict carries the parity the report shows
+    calls = []
+    end_signs = consistency._end_signs
+    monkeypatch.setattr(consistency, "_end_signs", lambda *a: calls.append(a) or end_signs(*a))
+    phases = tmp_path / "ref2.txt"
+    phases.write_text("0 0.4389\n1 0.1246\n")
+    argv = ["invert", "--phases", str(phases), "--lambda", "60", "--step", "0.01"]
+    code, out, _ = _run(capsys, argv + ["--out", str(tmp_path / "p.csv")])
+    cands = _report(out)["candidates"]
+    assert (code, len(cands), len(calls)) == (0, 4, 4)
+    assert [c["parity"] for c in cands] == [consistency._parity(*end_signs(*a)) for a in calls]
 
 
 def test_check_reports_an_ill_conditioned_M_cos_without_a_warning(capsys):

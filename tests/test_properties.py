@@ -112,12 +112,11 @@ def test_located_zeros_have_the_closed_form_parity(Ls):
     assume(Ls[1] - Ls[0] >= 0.05 and all(abs(L - ell) >= 0.05 for L in Ls for ell in ells))
     m_cos = kappa_matrices(ells, Ls)[1]
     assume(abs(np.linalg.det(m_cos)) > 1e-3 * np.prod(np.linalg.norm(m_cos, axis=1)))
-    parity = consistency._parity(ells, np.array(Ls))
     verdict = scan_zeros(ells, Ls)
     if verdict.zeros:
-        assert len(verdict.zeros) % 2 == (parity == "odd")
+        assert len(verdict.zeros) % 2 == (verdict.parity == "odd")
     if verdict.admissible:
-        assert parity == "even"
+        assert verdict.parity == "even"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -125,7 +124,8 @@ def test_located_zeros_have_the_closed_form_parity(Ls):
 def test_one_channel_parity_is_odd_where_the_cosine_is_negative(ell, big_l):
     cos = math.cos((ell - big_l) * math.pi / 2)
     assume(abs(big_l - ell) >= 0.05 and abs(cos) >= 0.05)
-    assert (consistency._parity(np.array([ell], float), np.array([big_l])) == "odd") == (cos < 0)
+    signs = consistency._end_signs(np.array([ell], float), np.array([big_l]))
+    assert (consistency._parity(*signs) == "odd") == (cos < 0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
