@@ -272,7 +272,7 @@ def _verdict_dict(verdict) -> dict:
     }
 
 
-def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfile:
+def _reconstruct(ells, shifted, grid, phases, report, tail_key) -> PotentialProfile:
     """Kernel -> potential -> q(0), numeric moment, tail fit and sum rules.
 
     Shared by invert, roundtrip and check: fills `report` (the tail fit
@@ -281,7 +281,6 @@ def _reconstruct(ells, shifted, cfg, phases, report, tail_key) -> PotentialProfi
     is None.  Their targets -2 alpha, -2 beta are read from the report's
     `tail_closed_form`, which the caller files first (_closed_forms).
     """
-    grid = RadialGrid(cfg.step, cfg.lambda_max)
     kernel = solve_kernel(ells, shifted, grid)
     profile = potential(ells, shifted, grid, kernel=kernel)
     report["q_origin"] = profile.q_origin
@@ -334,6 +333,7 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
     """Shared by invert and roundtrip: returns (exit_code, report, profile)."""
     if out:
         _check_out(out)
+    grid = RadialGrid(cfg.step, cfg.lambda_max)  # refused before the solve, as --out is
     report: dict = {
         "input": {"ells": list(input_set.ells), "deltas": list(input_set.deltas)},
         "grid": {"h": cfg.step, "lambda": cfg.lambda_max},
@@ -345,7 +345,6 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
     )
     report["zero_potential"] = solve.zero_potential
     if solve.zero_potential:
-        grid = RadialGrid(cfg.step, cfg.lambda_max)
         profile = PotentialProfile(
             grid.r,
             np.zeros_like(grid.r),
@@ -381,7 +380,7 @@ def _invert_pipeline(input_set: InputSet, cfg: RunConfig, out: str | None):
         chosen = sel.admissible[0]
         report["chosen_T"] = list(chosen.Ls)
         report.update(_closed_forms(input_set, chosen))
-        profile = _reconstruct(input_set.ells, chosen, cfg, input_set.deltas, report, "tail")
+        profile = _reconstruct(input_set.ells, chosen, grid, input_set.deltas, report, "tail")
         report["expansion_coeffs"] = list(expansion_coeffs(input_set, chosen))
     if out:
         write_potential_csv(out, profile, input_set)
@@ -516,7 +515,13 @@ def cmd_check(args) -> tuple[int, dict | None]:
         **_verdict_dict(verdict),
     }
     if len(ells) == 1:
-        report["single_channel_rule"] = admissible_1d(float(ells[0]), shifted.Ls[0])
+        rule = report["single_channel_rule"] = admissible_1d(float(ells[0]), shifted.Ls[0])
+        if verdict.settled and rule != verdict.admissible:
+            # the rule is exact for one shift, so this scan looked settled without being so
+            report.update(settled=False, admissible=False, scan_note=(
+                f"the scan to r = {verdict.r_max:g} contradicts the exact"
+                " single-channel rule |L - ell| <= 1"
+            ))
     try:
         report["implied_phases"] = list(phases_from_T(ells, shifted))
     except CtinvError as exc:
@@ -525,13 +530,13 @@ def cmd_check(args) -> tuple[int, dict | None]:
     report.update(_closed_forms(ells, shifted))
     report["moment_numeric"] = None
     report["sum_rules"] = None
-    if verdict.admissible:
+    if report["admissible"]:
         integral_s = all(float(ell) == int(ell) for ell in ells)
         phases = report["implied_phases"] if integral_s else None
-        _reconstruct(ells, shifted, cfg, phases, report, "tail_fit")
-    if not verdict.settled:
+        _reconstruct(ells, shifted, RadialGrid(cfg.step, cfg.lambda_max), phases, report, "tail_fit")
+    if not report["settled"]:
         return EXIT_UNSETTLED, report
-    return (EXIT_OK if verdict.admissible else EXIT_NO_ADMISSIBLE), report
+    return (EXIT_OK if report["admissible"] else EXIT_NO_ADMISSIBLE), report
 
 
 def cmd_specfun(args) -> tuple[int, dict | None]:

@@ -341,6 +341,14 @@ def admissibility_map(
         raise DomainError("box must be finite with a < b and c < d")
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise DomainError("resolution must be finite and > 0")
+    # the axes (8 bytes a point) and the flags (1 byte a cell), refused where numpy
+    # would raise ValueError instead of trying to allocate them
+    sizes = [(hi + 0.5 * resolution - lo) / resolution for lo, hi in ((a, b), (c, d))]
+    if not (max(sizes) < 2.0**60 and sizes[0] * sizes[1] < 2.0**63):
+        raise DomainError(
+            f"box {a:g},{b:g},{c:g},{d:g} at resolution {resolution:g} holds more"
+            " lattice points than an array can"
+        )
     _check_scan(r_max, scan_resolution, MIN_SCAN_RADIUS)
     if threads < 1:
         raise DomainError("threads must be >= 1")

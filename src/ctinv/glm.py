@@ -54,6 +54,10 @@ class RadialGrid:
             raise DomainError("step h must be finite and > 0")
         if not (math.isfinite(self.r_max) and self.r_max > self.h):
             raise DomainError("r_max must exceed the step")
+        if not math.isfinite(self.r_max / self.h):
+            raise DomainError(
+                f"grid radius {self.r_max:g} at step {self.h:g} holds no finite count of points"
+            )
 
     @cached_property
     def n(self) -> int:

@@ -111,10 +111,12 @@ def bessel_jy(nu: float, x):
     """
     _check_order(nu)
     arr, scalar = _as_positive_array(x, "x")
-    j = special.jv(nu, arr)
-    y = special.yv(nu, arr)
-    jp = special.jvp(nu, arr)
-    yp = special.yvp(nu, arr)
+    # scipy's derivative formula sums an overflowed Y as numpy scalars; _require_finite reports it
+    with np.errstate(invalid="ignore", over="ignore"):
+        j = special.jv(nu, arr)
+        y = special.yv(nu, arr)
+        jp = special.jvp(nu, arr)
+        yp = special.yvp(nu, arr)
     _require_finite(nu, arr, j, y, jp, yp)
     if scalar:
         return float(j), float(y), float(jp), float(yp)

@@ -72,6 +72,26 @@ def test_check_inadmissible_exit_3(capsys):
     assert rep["moment_numeric"] is None
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--T", "4", "--lambda", "1"], 4), (["--T", "4"], 3), (["--T=-0.4"], 0)],
+)
+def test_check_one_shift_scan_agrees_with_the_exact_rule(argv, code, capsys):
+    # to r = 1, D(r) of T = {4} is flat and looks settled, but |L - ell| = 4 > 1
+    got, out, _ = _run(capsys, ["check", "--ells", "0"] + argv)
+    rep = _report(out)
+    assert got == code
+    assert rep["admissible"] == rep["single_channel_rule"] == (code == 0)
+    assert rep["settled"] == (code != 4)
+    if code == 4:
+        assert rep["scan_note"] == (
+            "the scan to r = 1 contradicts the exact single-channel rule |L - ell| <= 1"
+        )
+        assert rep["moment_numeric"] is None
+    else:
+        assert "scan_note" not in rep
+
+
 def test_check_unsettled_exit_4(capsys):
     # this pair has not settled when the scan has doubled its range twice
     code, out, _ = _run(capsys, ["check", "--ells", "0,1", "--T=0.5,-0.2"])
@@ -252,10 +272,25 @@ def test_check_collision_exit_1(capsys):
          "scan radius 1e+07 at step 0.05 needs more than 16777216 samples per table"),
         (["check", "--ells", "0", "--T=0.5", "--lambda", "1e7"],
          "scan radius 1e+07 at step 0.05 needs more than 16777216 samples per table"),
+        # radius / step overflows to inf on the radial grid: refused before solve_T
+        (["invert", "--phases", "ref1.txt", "--lambda", "1e308"],
+         "grid radius 1e+308 at step 0.005 holds no finite count of points"),
+        (["forward", "--ws", "1,1,0.4", "--ellmax", "1", "--step", "1e-310"],
+         "grid radius 60 at step 1e-310 holds no finite count of points"),
+        (["--config", "far.cfg", "forward", "--ws", "1,1,0.4", "--ellmax", "1"],
+         "grid radius 1e+308 at step 0.005 holds no finite count of points"),
+        # lattices longer than numpy's largest array
+        (["map", "--ells", "0,1", "--box=0,0.1,0,0.1", "--res", "1e-300"],
+         "box 0,0.1,0,0.1 at resolution 1e-300 holds more lattice points than an array can"),
+        (["map", "--ells", "0,1", "--box=0,1e300,0,1", "--res", "1"],
+         "box 0,1e+300,0,1 at resolution 1 holds more lattice points than an array can"),
     ],
 )
-def test_bad_S_or_resolution_is_one_line_exit_1(argv, message, capsys, tmp_path):
-    if argv[0] in ("map", "forward"):
+def test_bad_S_or_resolution_is_one_line_exit_1(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ref1.txt").write_text(REF1_LINE)
+    (tmp_path / "far.cfg").write_text("forward_lambda = 1e308\n")
+    if "check" not in argv:
         argv = argv + ["--out", str(tmp_path / "out.csv")]
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
@@ -974,6 +1009,58 @@ def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert rep["grid"] == {"h": 0.04, "lambda": 400.0}
 
 
+TAIL_META = "# beta = 0\n# gamma = 0\n"
+SAMPLES = "r,q\n0.1,-1\n0.2,-1\n0.3,-1\n0.4,-1\n"
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, message",
+    [
+        ({}, ["invert", "--phases", "missing.txt"], 2, "parse error: cannot read missing.txt: "),
+        ({"c.cfg": "step = 0.01\nlambda 60\n"}, ["--config", "c.cfg", "invert", "--phases", "p.txt"],
+         2, "parse error: line 2: expected key=value in c.cfg"),
+        ({"c.cfg": "step = abc\n"}, ["--config", "c.cfg", "invert", "--phases", "p.txt"],
+         2, "parse error: line 1: bad value for 'step' in c.cfg"),
+        ({"p.txt": "# S = {0}\n0 x\n"}, ["invert", "--phases", "p.txt"],
+         2, "parse error: line 2: malformed numbers in '0 x'"),
+        ({"q.csv": "# ctinv potential\nr,v\n0.1,-1\n"}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
+         2, "parse error: line 2: expected header 'r,q', got 'r,v'"),
+        ({"q.csv": "r,q\n0.1,-1\n0.2,-1,3\n"}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
+         2, "parse error: line 3: expected 'r,q' pair, got '0.2,-1,3'"),
+        ({"q.csv": "r,q\n0.1,-1\n0.2,abc\n"}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
+         2, "parse error: line 3: malformed numbers in '0.2,abc'"),
+        ({"q.csv": "r,q\n0.1,-1\n0.2,-1\n0.3,-1\n"}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
+         2, "parse error: fewer than 4 samples in q.csv"),
+        ({"q.csv": "# alpha = x\n" + TAIL_META + SAMPLES}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
+         2, "parse error: malformed tail coefficients in q.csv"),
+        ({}, ["map", "--ells", "0,1", "--box=0,1,0"], 2, "parse error: --box needs four numbers"),
+        ({}, ["check", "--ells", "0,1", "--T", "0.5"],
+         2, "parse error: --ells and --T must have the same length"),
+        # argparse's own error: a usage line, then the message
+        ({}, ["check", "--T", "0.5,x"],
+         2, "check: error: argument --T: expected comma-separated numbers, got '0.5,x'"),
+        ({}, ["forward", "--ws", "1,1,0.4", "--ellmax", "1", "--step", "0"],
+         1, "step h must be finite and > 0"),
+    ],
+)
+def test_input_errors_are_one_message_line(files, argv, code, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in {"p.txt": REF1_LINE, **files}.items():
+        (tmp_path / name).write_text(text)
+    if argv[0] in ("forward", "map"):
+        argv = argv + ["--out", "out.csv"]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert (got, out) == (code, "")
+    assert lines[-1].startswith(f"ctinv {message}" if "usage:" in err else f"ctinv: {message}")
+    assert all(line.startswith("usage:") for line in lines[:-1])
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     phases = tmp_path / "phases.txt"
     phases.write_text(REF1_LINE)
@@ -1002,6 +1089,20 @@ def test_cli_import_leaves_optimize_and_interpolate_unloaded():
 
 
 # ---------------------------------------------------------------- specfun
+
+
+@pytest.mark.parametrize("nu, x", [("200", "0.1"), ("150.4", "1")])
+def test_specfun_saturation_is_one_stderr_line(nu, x):
+    # scipy's derivative formula overflows here; no RuntimeWarning precedes the error
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctinv", "specfun", "--nu", nu, "--x", x],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"ctinv: Bessel value saturated at nu={nu}, x~{x}\n"
 
 
 def test_specfun_prints_reference_values(capsys):

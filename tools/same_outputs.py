@@ -51,6 +51,7 @@ PHASE_FILES = {
     "odd.txt": "1 0.3\n",
     "seeds2.cfg": "seeds_per_axis = 2\n",
     "bigscan.cfg": "scan_resolution = 1000\n",
+    "far.cfg": "forward_lambda = 1e308\n",
     "flags.cfg": "lambda_max = 50\nstep = 0.02\nmap_resolution = 0.25\nthreads = 2\n",
     "nan.csv": "r,q\n0.1,-1\n0.2,nan\n0.3,-0.9\n0.4,-0.8\n",
     # the phases of `forward --ws 1,1,0.4` for ell = 0, 1, 2, at full precision
@@ -97,6 +98,12 @@ COMMANDS = [
     ["check", "--ells", "0,1", "--T=0.5,1.781264665819622", "--lambda", "30"],
     # radius / step overflows to inf: one line on stderr, exit 1
     ["check", "--ells", "0", "--T=-0.4", "--lambda", "1e308"],
+    # a settled one-shift scan that the exact |L - ell| <= 1 rule contradicts: exit 4
+    ["check", "--ells", "0", "--T", "4", "--lambda", "1"],
+    # radius / step of the radial grid overflows to inf: one line on stderr, exit 1
+    ["invert", "--phases", "ref1.txt", "--lambda", "1e308"],
+    ["forward", "--ws", "1,1,0.4", "--ellmax", "1", "--step", "1e-310"],
+    ["--config", "far.cfg", "forward", "--ws", "1,1,0.4", "--ellmax", "1"],
     ["forward", "--ws", "1,1,0.4", "--ellmax", "8", "--out", "ws.csv"],
     # the top channels' windows lie below x = ell, where spherical_jn changes its method
     ["forward", "--ws", "1,1,0.4", "--ellmax", "60"],
@@ -139,7 +146,13 @@ COMMANDS = [
      "--out", "flags_ref1.csv"],
     ["--config", "flags.cfg", "forward", "--ws", "1,1,0.4", "--ellmax", "2", "--step", "0.01",
      "--out", "flags_ws.csv"],
+    # lattices longer than numpy's largest array: one line on stderr, exit 1
+    ["map", "--ells", "0,1", "--box=0,0.1,0,0.1", "--res", "1e-300"],
+    ["map", "--ells", "0,1", "--box=0,1e300,0,1", "--res", "1"],
     ["specfun", "--nu", "1.7", "--x", "5.0"],
+    # a saturated Y: the error line alone on stderr, no scipy RuntimeWarning
+    ["specfun", "--nu", "200", "--x", "0.1"],
+    ["specfun", "--nu", "150.4", "--x", "1"],
 ]
 
 WARNING_LINE = re.compile(r"(\.py):\d+:")
