@@ -533,7 +533,8 @@ def cmd_check(args) -> tuple[int, dict | None]:
     if report["admissible"]:
         integral_s = all(float(ell) == int(ell) for ell in ells)
         phases = report["implied_phases"] if integral_s else None
-        _reconstruct(ells, shifted, RadialGrid(cfg.step, cfg.lambda_max), phases, report, "tail_fit")
+        grid = RadialGrid(cfg.step, cfg.lambda_max)
+        _reconstruct(ells, shifted, grid, phases, report, "tail_fit")
     if not report["settled"]:
         return EXIT_UNSETTLED, report
     return (EXIT_OK if report["admissible"] else EXIT_NO_ADMISSIBLE), report

@@ -55,7 +55,7 @@ class AdmissibilityVerdict:
     zeros: tuple[float, ...]
     r_max: float
     settled: bool
-    parity: str | None = None
+    parity: str | None
 
     @property
     def admissible(self) -> bool:

@@ -1009,8 +1009,7 @@ def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert rep["grid"] == {"h": 0.04, "lambda": 400.0}
 
 
-TAIL_META = "# beta = 0\n# gamma = 0\n"
-SAMPLES = "r,q\n0.1,-1\n0.2,-1\n0.3,-1\n0.4,-1\n"
+FORWARD_Q = ["forward", "--potential", "q.csv", "--ellmax", "1"]
 
 
 @pytest.mark.parametrize(
@@ -1023,16 +1022,16 @@ SAMPLES = "r,q\n0.1,-1\n0.2,-1\n0.3,-1\n0.4,-1\n"
          2, "parse error: line 1: bad value for 'step' in c.cfg"),
         ({"p.txt": "# S = {0}\n0 x\n"}, ["invert", "--phases", "p.txt"],
          2, "parse error: line 2: malformed numbers in '0 x'"),
-        ({"q.csv": "# ctinv potential\nr,v\n0.1,-1\n"}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
+        ({"q.csv": "# ctinv potential\nr,v\n0.1,-1\n"}, FORWARD_Q,
          2, "parse error: line 2: expected header 'r,q', got 'r,v'"),
-        ({"q.csv": "r,q\n0.1,-1\n0.2,-1,3\n"}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
+        ({"q.csv": "r,q\n0.1,-1\n0.2,-1,3\n"}, FORWARD_Q,
          2, "parse error: line 3: expected 'r,q' pair, got '0.2,-1,3'"),
-        ({"q.csv": "r,q\n0.1,-1\n0.2,abc\n"}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
+        ({"q.csv": "r,q\n0.1,-1\n0.2,abc\n"}, FORWARD_Q,
          2, "parse error: line 3: malformed numbers in '0.2,abc'"),
-        ({"q.csv": "r,q\n0.1,-1\n0.2,-1\n0.3,-1\n"}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
+        ({"q.csv": "r,q\n0.1,-1\n0.2,-1\n0.3,-1\n"}, FORWARD_Q,
          2, "parse error: fewer than 4 samples in q.csv"),
-        ({"q.csv": "# alpha = x\n" + TAIL_META + SAMPLES}, ["forward", "--potential", "q.csv", "--ellmax", "1"],
-         2, "parse error: malformed tail coefficients in q.csv"),
+        ({"q.csv": "# alpha = x\n# beta = 0\n# gamma = 0\nr,q\n0.1,-1\n0.2,-1\n0.3,-1\n0.4,-1\n"},
+         FORWARD_Q, 2, "parse error: malformed tail coefficients in q.csv"),
         ({}, ["map", "--ells", "0,1", "--box=0,1,0"], 2, "parse error: --box needs four numbers"),
         ({}, ["check", "--ells", "0,1", "--T", "0.5"],
          2, "parse error: --ells and --T must have the same length"),

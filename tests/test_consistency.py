@@ -406,7 +406,7 @@ def test_doubled_scan_sends_each_sample_through_the_matrix_builder_once(monkeypa
 def test_admissibility_is_derived_not_stored():
     assert "admissible" not in {f.name for f in dataclasses.fields(consistency.AdmissibilityVerdict)}
     for zeros, settled in (((), True), ((), False), ((2.5,), True)):
-        verdict = consistency.AdmissibilityVerdict(zeros, 100.0, settled)
+        verdict = consistency.AdmissibilityVerdict(zeros, 100.0, settled, "even")
         assert verdict.admissible == (settled and not zeros)
 
 
