@@ -189,8 +189,10 @@ def write_potential_csv(path: str, profile: PotentialProfile, input_set: InputSe
         for key in ("alpha", "beta", "gamma"):
             meta[key] = _fmt(getattr(profile.tail, key))
         meta["tail_rms"] = _fmt(profile.tail.rms)
-    rows = [f"{_fmt(r)},{_fmt(q)}" for r, q in zip(profile.r, profile.q)]
-    _write_csv(path, "potential", meta, "r,q", rows)
+    # one formatting pass over all pairs: "%.12g" % x is _fmt(x) for every float
+    n = len(profile.r)
+    block = "%.12g,%.12g\n" * n % tuple(np.column_stack((profile.r, profile.q)).ravel().tolist())
+    _write_csv(path, "potential", meta, "r,q", [block[:-1]] if n else [])
 
 
 def read_potential_csv(path: str):
