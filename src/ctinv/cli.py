@@ -576,7 +576,7 @@ _csv_floats = _csv_list(float, "numbers")
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reads '--T -0.3,0.9' as '--T=-0.3,0.9'.
+    """ArgumentParser that reads '--T -0.3,0.9' as '--T=-0.3,0.9' and errs in one line.
 
     Any value that starts '-N' or '-.N' after a long flag is glued to it:
     argparse itself takes only '-N' and '-N.N', not comma lists or exponents.
@@ -590,6 +590,10 @@ class _Parser(argparse.ArgumentParser):
             else:
                 joined.append(arg)
         return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        """Exit 2 with one stderr line, as every other input error does (no usage line)."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
