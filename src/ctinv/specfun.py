@@ -9,7 +9,11 @@ package are
     u_lam(x) = sqrt(pi x / 2) J_{lam+1/2}(x)      (regular at x = 0)
     v_lam(x) = sqrt(pi x / 2) Y_{lam+1/2}(x)      (irregular at x = 0)
 
-normalised so that the same-order Wronskian u v' - u' v equals 1.
+normalised so that the same-order Wronskian u v' - u' v equals 1.  Their
+values take one of four routes (see _riccati_halves): cos x or sin x at
+lam = -1, the spherical Bessel closed forms at an integer order up to 500,
+and at any other order Hankel's large-x expansion from x_min(lam + 1/2) on
+and scipy's jv/yv below it.
 """
 
 from __future__ import annotations
@@ -132,6 +136,61 @@ def _require_finite(nu: float, arr: np.ndarray, *values) -> None:
             )
 
 
+# terms a_0 .. a_{N-1} of Hankel's expansion that _hankel sums, half in P and half in Q
+HANKEL_TERMS = 20
+
+
+def _hankel_series(nu: float) -> tuple[float, list[float], list[float]]:
+    """Where Hankel's expansion at order nu holds to 2^-54, and its P and Q coefficients.
+
+    DLMF 10.17.3-4 write sqrt(pi x / 2) J_nu(x) = P cos w - Q sin w and
+    sqrt(pi x / 2) Y_nu(x) = P sin w + Q cos w, with w = x - (nu/2 + 1/4) pi,
+    P = sum_k (-1)^k a_2k x^-2k, Q = sum_k (-1)^k a_2k+1 x^-2k-1 and
+    a_k = a_{k-1} (4 nu^2 - (2k-1)^2) / (8k), a_0 = 1.  Summed over
+    a_0 .. a_{N-1} (N = HANKEL_TERMS), P and Q are each off by at most
+    their first neglected term (DLMF 10.17(iii), which needs N >= |nu| - 1/2;
+    P and Q are even in nu).  The returned x_min is the smallest x at which
+    both those terms, a_N x^-N and a_{N+1} x^-N-1, are <= 2^-54; it is inf
+    where the bound does not hold, so no coefficient can overflow.  The
+    coefficients come signed, as polynomials in 1/x^2: P, and x Q.
+    """
+    n = HANKEL_TERMS
+    if n < abs(nu) - 0.5:
+        return math.inf, [], []
+    a = [1.0]
+    for k in range(1, n + 2):
+        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8 * k))
+    x_min = max((abs(a[n]) * 2.0**54) ** (1 / n), (abs(a[n + 1]) * 2.0**54) ** (1 / (n + 1)))
+    signed = [ak if k % 4 < 2 else -ak for k, ak in enumerate(a[:n])]  # (-1)^k on a_2k, a_2k+1
+    return x_min, signed[0::2], signed[1::2]
+
+
+def _hankel(nu: float, x: np.ndarray, regular: bool, p: list[float], q: list[float]) -> np.ndarray:
+    """sqrt(pi x / 2) J_nu(x) or Y_nu(x) from the coefficients _hankel_series returns."""
+    t = 1.0 / (x * x)
+    big_p, big_q = np.full_like(x, p[-1]), np.full_like(x, q[-1])
+    for cp, cq in zip(p[-2::-1], q[-2::-1]):  # Horner's rule in 1/x^2
+        big_p *= t
+        big_p += cp
+        big_q *= t
+        big_q += cq
+    big_q /= x
+    # phi = (nu/2 + 1/4) pi from pi (nu - k) / 2, exact to rounding for the
+    # integer k nearest nu, turned by k quarter turns and then by pi/4
+    k = round(nu)
+    c, s = math.cos(0.5 * math.pi * (nu - k)), math.sin(0.5 * math.pi * (nu - k))
+    for _ in range(k % 4):
+        c, s = -s, c
+    cos_phi, sin_phi = (c - s) * math.sqrt(0.5), (s + c) * math.sqrt(0.5)
+    # w = x - phi by the angle-difference formulas, so only cos and sin reduce x
+    cos_x, sin_x = np.cos(x), np.sin(x)
+    cos_w = cos_x * cos_phi + sin_x * sin_phi
+    sin_w = sin_x * cos_phi - cos_x * sin_phi
+    if regular:
+        return big_p * cos_w - big_q * sin_w
+    return big_p * sin_w + big_q * cos_w
+
+
 def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     """One half of the Riccati pair per order: (u, u') from J or (v, v') from Y.
 
@@ -142,10 +201,14 @@ def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     cos x or sin x at lam = -1; from the spherical Bessel closed forms
     u_l = x j_l(x), v_l = x y_l(x) at an integer 0 <= l <= 500 (scipy
     recurs over l at each point, which costs more than jv/yv above
-    l ~ 500); and from sqrt(pi x / 2) C_{lam+1/2} (J or Y) at any other
-    order.  Each distinct order is evaluated once per call and shared
-    between the values and derivatives of all `lams`.  Every value and
-    derivative computed is checked for saturation, order by order.
+    l ~ 500); and at any other order, with nu = lam + 1/2, from Hankel's
+    expansion at x >= x_min(nu) (see _hankel_series; about 20-26 for
+    |nu| <= 9, inf for |nu| > 20.5) and from sqrt(pi x / 2) C_nu (scipy's
+    jv or yv) below it.  The route is chosen point by point, so a value
+    depends on its x alone.  Each distinct order is evaluated once per
+    call and shared between the values and derivatives of all `lams`.
+    Every value and derivative computed is checked for saturation, order
+    by order.
     """
     for lam in lams:
         if not math.isfinite(lam) or lam <= -0.5:
@@ -160,7 +223,14 @@ def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
             return np.cos(arr) if regular else np.sin(arr)
         if 0 <= lam <= 500 and lam == int(lam):
             return arr * sph(int(lam), arr)
-        return np.sqrt(0.5 * math.pi * arr) * fn(lam + 0.5, arr)
+        nu = lam + 0.5
+        x_min, p, q = _hankel_series(nu)
+        near = arr < x_min
+        out = np.empty_like(arr)
+        out[near] = np.sqrt(0.5 * math.pi * arr[near]) * fn(nu, arr[near])
+        if not near.all():  # x_min is inf where the expansion's bound does not hold
+            out[~near] = _hankel(nu, arr[~near], regular, p, q)
+        return out
 
     halves = []
     for lam in lams:

@@ -10,6 +10,8 @@ from ctinv.errors import DomainError, SaturationError
 from ctinv.specfun import (
     RiccatiTables,
     _as_positive_array,
+    _hankel,
+    _hankel_series,
     _require_finite,
     _riccati_half,
     _riccati_halves,
@@ -88,15 +90,19 @@ def _bessel_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     return halves
 
 
-def _assert_near_reference(lam, got, want):
-    """Compare (u, u', v, v') with the reference: the values u, v at a
-    non-integer order equal it bit for bit, integer-order values lie within
-    1e-12 of the modulus sqrt(u^2 + v^2), and the derivatives of every order
-    within 1e-12 of sqrt(u'^2 + v'^2), both moduli from the reference."""
+def _assert_near_reference(lam, x, got, want):
+    """Compare (u, u', v, v') at x with the reference: the values u, v at a
+    non-integer order equal it bit for bit below x_min(lam + 1/2), where
+    they take the jv/yv route, and lie within 1e-13 of the modulus
+    sqrt(u^2 + v^2) from there on, where Hankel's expansion gives them;
+    integer-order values lie within 1e-12 of that modulus, and the
+    derivatives of every order within 1e-12 of sqrt(u'^2 + v'^2), both
+    moduli from the reference."""
     moduli = (np.hypot(want[0], want[2]), np.hypot(want[1], want[3])) * 2
+    exact = np.asarray(x) < _hankel_series(lam + 0.5)[0]
     for k, (g, w, m) in enumerate(zip(got, want, moduli)):
         if k % 2 == 0 and lam != int(lam):
-            assert np.array_equal(g, w)
+            assert np.all(np.where(exact, g == w, np.abs(g - w) <= 1e-13 * m))
         else:
             assert np.all(np.abs(g - w) <= 1e-12 * m)
 
@@ -297,7 +303,7 @@ def test_riccati_array_shapes():
 def test_riccati_fields_are_the_exact_halves():
     # the four fields are the halves bit for bit, and the value-only form
     # returns the same value without a derivative; against the jv/yv route,
-    # non-integer values are bit-exact and the rest near it
+    # non-integer values are bit-exact below x_min and the rest near it
     for lam in (-0.45, 0.0, 0.37, 1.0, 2.6, 8.0):
         for x in (2.3, np.linspace(0.05, 40.0, 301)):
             f = riccati(lam, x)
@@ -306,7 +312,7 @@ def test_riccati_fields_are_the_exact_halves():
                 assert np.array_equal(got, half)
                 assert np.ndim(got) == np.ndim(x)
             old = (*_bessel_halves((lam,), x, True)[0], *_bessel_halves((lam,), x, False)[0])
-            _assert_near_reference(lam, f, old)
+            _assert_near_reference(lam, x, f, old)
             for regular, want in ((True, f.u), (False, f.v)):
                 val, none = _riccati_half(lam, x, regular, deriv=False)
                 assert none is None and np.array_equal(val, want)
@@ -346,7 +352,9 @@ def test_shared_order_table_equals_per_order_halves(lams):
     # x j_l(x) or x y_l(x) at an integer order, sqrt(pi x / 2) J or Y at
     # lam + 1/2 at any other, every derivative u_{lam-1} - (lam/x) u_lam with
     # u_{-1} = cos x, v_{-1} = sin x, and every order matches the jv/yv
-    # reference as _assert_near_reference says
+    # reference as _assert_near_reference says.  From x_min(lam + 1/2) on
+    # (17.6 to 21.9 at these orders), a non-integer value is Hankel's
+    # expansion instead
     x = np.linspace(0.005, 80.0, 4001)
     funcs = {
         True: (special.spherical_jn, np.cos, special.jv),
@@ -360,7 +368,11 @@ def test_shared_order_table_equals_per_order_halves(lams):
                 return below(x)
             if lam == int(lam):
                 return x * sph(int(lam), x)
-            return np.sqrt(0.5 * math.pi * x) * c(lam + 0.5, x)
+            val = np.sqrt(0.5 * math.pi * x) * c(lam + 0.5, x)
+            x_min, p, q = _hankel_series(lam + 0.5)
+            far = x >= x_min
+            val[far] = _hankel(lam + 0.5, x[far], regular, p, q)
+            return val
 
         shared = _riccati_halves(lams, x, regular)
         for lam, (val, dval) in zip(lams, shared):
@@ -374,7 +386,7 @@ def test_shared_order_table_equals_per_order_halves(lams):
     for k, lam in enumerate(lams):
         got = (*halves[True][0][k], *halves[False][0][k])
         want = (*halves[True][1][k], *halves[False][1][k])
-        _assert_near_reference(lam, got, want)
+        _assert_near_reference(lam, x, got, want)
 
 
 def test_saturation_message_names_the_table_order():
@@ -399,7 +411,7 @@ def test_saturation_message_names_the_table_order():
         ok = edge >= 1.2
         x = edge[ok]
         old = (*_bessel_halves((lam,), x, True)[0], *_bessel_halves((lam,), x, False)[0])
-        _assert_near_reference(lam, (*_riccati_half(lam, x, True), val[ok], dval[ok]), old)
+        _assert_near_reference(lam, x, (*_riccati_half(lam, x, True), val[ok], dval[ok]), old)
 
 
 @pytest.mark.parametrize("lam", [501.0, 1e20])
@@ -427,7 +439,7 @@ def test_integer_orders_above_500_take_the_bessel_route(lam):
         below, _ = _riccati_half(lam - 1.0, x, regular, deriv=False)
         assert np.array_equal(dval, below - (lam / x) * val)
     if not any(isinstance(w, str) for w in want):
-        _assert_near_reference(lam, (*got[0], *got[1]), (*want[0], *want[1]))
+        _assert_near_reference(lam, x, (*got[0], *got[1]), (*want[0], *want[1]))
 
 
 # every integer order 0..60 on the grid x = k * 0.005 up to 400
@@ -444,7 +456,7 @@ def test_integer_orders_stay_near_the_bessel_route():
         for halves in (_riccati_halves, _bessel_halves)
     )
     for k, lam in enumerate(INTEGER_ORDERS):
-        _assert_near_reference(lam, (*new[0][k], *new[1][k]), (*old[0][k], *old[1][k]))
+        _assert_near_reference(lam, x, (*new[0][k], *new[1][k]), (*old[0][k], *old[1][k]))
 
 
 def test_integer_order_wronskian_is_one_to_rounding():
@@ -473,6 +485,21 @@ def test_tables_grown_n_2n_4n_equal_whole_grid_halves(regular, lams):
     assert tables.counts() == {"filled": 3, "bessel_points": 3 * 3 * 2800}
 
 
+def test_tables_grown_across_x_min_equal_whole_grid_halves():
+    # the first fill ends below x_min of both orders a half reads (lam and
+    # lam - 1, at 20.43 and 20.30), the first growth crosses both, the second
+    # lies beyond them; every fill equals one call on the whole grid
+    lam, step = 0.9295, 0.05
+    x_mins = [_hankel_series(nu)[0] for nu in (lam + 0.5, lam - 0.5)]
+    assert 300 * step < min(x_mins) and max(x_mins) < 420 * step
+    tables = RiccatiTables(step)
+    for regular in (True, False):
+        for n in (300, 420, 600):
+            (val, dval), = tables.halves((lam,), regular, n)
+            (ref, dref), = _riccati_halves((lam,), np.arange(1, n + 1, dtype=float) * step, regular)
+            assert np.array_equal(val, ref) and np.array_equal(dval, dref)
+
+
 @pytest.mark.parametrize("fill, n", [(0, 0), (10, 0), (10, -3)])
 def test_tables_refuse_fewer_than_one_point(fill, n):
     tables = RiccatiTables(0.05)
@@ -492,3 +519,72 @@ def test_tables_raise_the_saturation_message_of_direct_halves():
     assert str(memo.value) == str(direct.value) == "Bessel value saturated at nu=150.5, x~0.005"
     # the order that saturated left no table behind
     assert tables.counts()["filled"] == 1
+
+
+# orders of the accuracy test as nu = lam + 1/2; -0.81 is read only as the
+# order lam - 1 of a derivative
+HANKEL_NUS = (-0.81, 0.19, 0.43, 1.43, 2.3, 4.7, 8.4)
+
+
+@pytest.mark.parametrize("nu", HANKEL_NUS)
+def test_hankel_branch_is_exact_to_rounding(nu):
+    # against 40-digit values on seeded x in [x_min, 2800]: within 2e-15 of
+    # sqrt(u^2 + v^2), where the jv/yv route is off by up to 3.5e-14
+    mpmath = pytest.importorskip("mpmath")
+    x_min, p, q = _hankel_series(nu)
+    x = np.concatenate(([x_min], np.random.default_rng(35).uniform(x_min, 2800.0, 40)))
+    with mpmath.workdps(40):
+        exact = [
+            np.array([float(mpmath.sqrt(mpmath.pi * t / 2) * fn(nu, t)) for t in map(mpmath.mpf, x)])
+            for fn in (mpmath.besselj, mpmath.bessely)
+        ]
+    modulus = np.hypot(*exact)
+    for regular, want in zip((True, False), exact):
+        assert np.max(np.abs(_hankel(nu, x, regular, p, q) - want) / modulus) <= 2e-15
+
+
+def test_non_integer_halves_stay_near_the_bessel_route_row_by_row():
+    # 50 seeded orders, 10 of them below 1/2 so that lam - 1 lies in
+    # (-1.49, -1/2), each at 200 seeded x in (0.05, 400) and exactly at the
+    # two points where its value's and its derivative's order switch route:
+    # 10,100 rows; each switch point also as a scalar, equal to its row
+    rng = np.random.default_rng(3501)
+    for lam in np.concatenate((rng.uniform(-0.49, 0.5, 10), rng.uniform(0.5, 9.0, 40))).tolist():
+        switches = [_hankel_series(nu)[0] for nu in (lam + 0.5, lam - 0.5)]
+        x = np.concatenate((rng.uniform(0.05, 400.0, 200), switches))
+        got, want = (
+            (*halves((lam,), x, True)[0], *halves((lam,), x, False)[0])
+            for halves in (_riccati_halves, _bessel_halves)
+        )
+        _assert_near_reference(lam, x, got, want)
+        for k, point in zip((-2, -1), switches):
+            scalar = (*_riccati_half(lam, point, True), *_riccati_half(lam, point, False))
+            assert scalar == tuple(g[k] for g in got)
+
+
+def test_non_integer_wronskian_is_one_to_rounding():
+    # u v' - u' v = 1 on the grid from x = 25 on, where nearly every value
+    # is Hankel's expansion; the jv/yv route gave up to 3.9e-15 here
+    x = GRID_400[GRID_400 >= 25.0]
+    for lam in np.random.default_rng(46).uniform(-0.49, 8.0, 46).tolist():
+        (u, du), (v, dv) = _riccati_half(lam, x, True), _riccati_half(lam, x, False)
+        assert np.max(np.abs(u * dv - du * v - 1.0)) <= 5e-15, lam
+
+
+@pytest.mark.parametrize("lam", [20.1, 149.9, 1e20])
+def test_orders_beyond_the_hankel_bound_keep_the_bessel_route(lam):
+    # 20 terms bound Hankel's remainder only up to |nu| = 20.5, so these
+    # orders read jv/yv at every x: the same values, or the same saturation
+    assert math.isfinite(_hankel_series(20.5)[0])
+    assert _hankel_series(lam + 0.5)[0] == math.inf
+    x = np.linspace(0.005, 3000.0, 601)
+
+    def outcome(halves, regular):
+        try:
+            return halves((lam,), x, regular, deriv=False)[0][0]
+        except SaturationError as exc:
+            return str(exc)
+
+    for regular in (True, False):
+        got, want = outcome(_riccati_halves, regular), outcome(_bessel_halves, regular)
+        assert type(got) is type(want) and np.array_equal(got, want)
