@@ -202,7 +202,7 @@ def _riccati_halves(lams, x, regular: bool, deriv: bool = True) -> list:
     u_l = x j_l(x), v_l = x y_l(x) at an integer 0 <= l <= 500 (scipy
     recurs over l at each point, which costs more than jv/yv above
     l ~ 500); and at any other order, with nu = lam + 1/2, from Hankel's
-    expansion at x >= x_min(nu) (see _hankel_series; about 20-26 for
+    expansion at x >= x_min(nu) (see _hankel_series; at most 27 for
     |nu| <= 9, inf for |nu| > 20.5) and from sqrt(pi x / 2) C_nu (scipy's
     jv or yv) below it.  The route is chosen point by point, so a value
     depends on its x alone.  Each distinct order is evaluated once per
